@@ -8,16 +8,19 @@ norm is the ambient operator norm, and the grading splits every element into
 even and odd parts (x +- alpha(x))/2.
 
 Elements are stored as coordinate vectors against the basis; matrices are
-materialized on demand.  The odd part of a commutative instance carries two
-Hilbert bimodule inner products over the even part, and an optional odd
-generator e (e^2 = unit, e* = -e, e odd) represents the odd symmetry
-x -> e x.
+materialized on demand.  The checks compute with the structure tensor
+(coordinates of every basis product), ``dagger_coord`` and ``alpha_coord``;
+the one ambient cross-check is the operator norm of sampled products.
+
+The odd part of a commutative instance carries two Hilbert bimodule inner
+products over the even part, and an optional odd generator e (e^2 = unit,
+e* = -e, e odd) represents the odd symmetry x -> e x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -110,6 +113,48 @@ class CheckResult:
 
 def _vec(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(mats.shape[:-2] + (-1,))
+
+
+def _products(algebra: "KreinAlgebra", A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coordinates of every product a_p b_q of the coordinate columns of
+    A (d x p) and B (d x q), read off the structure tensor; shape (p, q, d)."""
+    return np.einsum("ip,jq,ijk->pqk", A, B, algebra.structure, optimize=True)
+
+
+def _commutators(algebra: "KreinAlgebra", A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coordinates of every commutator [a_p, b_q]; shape (p, q, d)."""
+    return _products(algebra, A, B) - _products(algebra, B, A).transpose(1, 0, 2)
+
+
+def _cols(prods: np.ndarray) -> np.ndarray:
+    """Stacked product coordinates (..., d) as columns (d, ...), flattened."""
+    return prods.reshape(-1, prods.shape[-1]).T
+
+
+def _dag(algebra: "KreinAlgebra", cols: np.ndarray) -> np.ndarray:
+    """Adjoints of coordinate columns; the adjoint is antilinear."""
+    return algebra.dagger_coord @ np.conj(cols)
+
+
+def _left_mul(algebra: "KreinAlgebra", c: np.ndarray) -> np.ndarray:
+    """Matrix of x -> c x on coordinates; column j holds the coordinates of c B_j."""
+    return np.einsum("i,ijk->kj", c, algebra.structure)
+
+
+def _random_coords(rng: np.random.Generator, samples: int, k: int) -> np.ndarray:
+    """Rows of standard complex Gaussian coordinates (real, then imaginary part per row)."""
+    z = rng.standard_normal((samples, 2, k))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
+def _worst(err, scale) -> float:
+    """Largest error relative to max(1, scale); 0 for no samples."""
+    return float(np.max(np.asarray(err) / np.maximum(1.0, scale), initial=0.0))
+
+
+def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
+    """Worst norm of stacked coordinate vectors ``diff`` relative to ``ref``."""
+    return _worst(np.linalg.norm(diff, axis=-1), np.linalg.norm(ref, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,12 +377,17 @@ class KreinAlgebra:
                 raise AlgebraValidationError(
                     f"unit_coords needs {d} coordinates, got {sol.shape}"
                 )
-        resid = float(np.linalg.norm(sys_mat @ sol - rhs))
-        return sol, resid
+        # normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 7.1): the
+        # absolute residual grows like cond^2 of a change of basis, this does not
+        resid = np.linalg.norm(sys_mat @ sol - rhs) / (
+            np.linalg.norm(sys_mat, 2) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+        )
+        return sol, float(resid)
 
     def materialize(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=complex).reshape(-1)
-        return np.einsum("i,iab->ab", c, self.basis)
+        """Ambient matrix of coordinates (..., d); a stack gives a stack."""
+        return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=1)
 
     def coords_of_matrix(self, mat, tol: float | None = None) -> np.ndarray:
         """Coordinates of an ambient matrix, raising SpanError off the span."""
@@ -349,16 +399,18 @@ class KreinAlgebra:
         return coords[0]
 
     def mul_coords(self, c1, c2) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", c1, c2, self.structure)
+        """Coordinates of c1 c2; stacked rows (..., d) multiply row by row."""
+        return np.einsum("...i,...j,ijk->...k", c1, c2, self.structure, optimize=True)
 
     def even_projection(self, coords) -> np.ndarray:
-        return (coords + self.alpha_coord @ coords) / 2.0
+        return (coords + coords @ self.alpha_coord.T) / 2.0
 
     def odd_projection(self, coords) -> np.ndarray:
-        return (coords - self.alpha_coord @ coords) / 2.0
+        return (coords - coords @ self.alpha_coord.T) / 2.0
 
-    def op_norm(self, coords) -> float:
-        return float(np.linalg.norm(self.materialize(coords), 2))
+    def op_norm(self, coords) -> float | np.ndarray:
+        """Ambient operator norm; stacked rows give an array of norms."""
+        return np.linalg.norm(self.materialize(coords), 2, axis=(-2, -1))
 
     # -- element factories ----------------------------------------------------
 
@@ -379,15 +431,13 @@ class KreinAlgebra:
         return GradedElement(self, self.odd_generator_coords)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> GradedElement:
-        c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return GradedElement(self, scale * c / np.sqrt(2.0))
+        return GradedElement(self, scale * _random_coords(rng, 1, self.dim)[0])
 
     def random_odd_element(self, rng: np.random.Generator, scale: float = 1.0) -> GradedElement:
         k = self.odd_basis.shape[1]
         if k == 0:
             raise NotOddElementError("algebra has trivial odd part")
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        return GradedElement(self, scale * (self.odd_basis @ c) / np.sqrt(2.0))
+        return GradedElement(self, scale * (self.odd_basis @ _random_coords(rng, 1, k)[0]))
 
     def even_basis_matrices(self) -> np.ndarray:
         return np.einsum("ji,jab->iab", self.even_basis, self.basis)
@@ -506,8 +556,7 @@ def _fullness_rank(algebra: KreinAlgebra, tol: float) -> tuple[int, int]:
     if k == 0:
         return 0, dim_even
     # coordinates of all products dagger(x_i) y_j for the odd coordinate basis
-    dag = algebra.dagger_coord @ np.conj(ob)  # (d, k); adjoint is antilinear
-    prods = np.einsum("ip,jq,ijk->pqk", dag, ob, algebra.structure).reshape(k * k, -1)
+    prods = _products(algebra, _dag(algebra, ob), ob).reshape(k * k, -1)
     sv = np.linalg.svd(prods, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0, dim_even
@@ -536,20 +585,14 @@ def check_commutative_symmetric(
     commutative = comm <= tol * scale
 
     eb, ob = algebra.even_basis, algebra.odd_basis
-    sym_resid = 0.0
-    # even part commutative
-    se = np.einsum("ip,jq,ijk->pqk", eb, eb, s)
-    sym_resid = max(sym_resid, float(np.max(np.abs(se - se.transpose(1, 0, 2)))) if se.size else 0.0)
+    # even part commutative; module symmetry a x = x a for even a, odd x;
+    # inner product symmetry left<x|y> = right<y|x>, i.e. x y^dag = y^dag x
+    pairs = [(eb, eb)]
     if ob.shape[1]:
-        # module symmetry a x = x a for even a, odd x
-        ax = np.einsum("ip,jq,ijk->pqk", eb, ob, s)
-        xa = np.einsum("jq,ip,jik->pqk", ob, eb, s)
-        sym_resid = max(sym_resid, float(np.max(np.abs(ax - xa))))
-        # inner product symmetry: left<x|y> = right<y|x>, i.e. x y^dag = y^dag x
-        dag = algebra.dagger_coord @ np.conj(ob)
-        xy = np.einsum("ip,jq,ijk->pqk", ob, dag, s)
-        yx = np.einsum("jq,ip,jik->pqk", dag, ob, s)
-        sym_resid = max(sym_resid, float(np.max(np.abs(xy - yx))))
+        pairs += [(eb, ob), (ob, _dag(algebra, ob))]
+    sym_resid = max(
+        float(np.max(np.abs(_commutators(algebra, A, B)), initial=0.0)) for A, B in pairs
+    )
     symmetric = sym_resid <= tol * scale
     return CommutativeSymmetricVerdict(commutative, symmetric, comm, sym_resid)
 
@@ -589,6 +632,7 @@ def check_odd_symmetry(
         return OddSymmetryVerdict(None, None, 0.0, ("odd generator absent",))
     failures: list[str] = []
     resid = 0.0
+    eps = _left_mul(algebra, e)  # eps(x) = e x
 
     scale = max(1.0, float(np.linalg.norm(e)))
     r = float(np.linalg.norm(algebra.even_projection(e))) / scale
@@ -596,7 +640,7 @@ def check_odd_symmetry(
     if r > tol:
         failures.append("generator is not odd")
 
-    r = float(np.linalg.norm(algebra.mul_coords(e, e) - algebra.unit_coords))
+    r = float(np.linalg.norm(eps @ e - algebra.unit_coords))
     resid = max(resid, r)
     if r > tol * max(1.0, scale**2):
         failures.append("generator squared is not the unit")
@@ -606,24 +650,18 @@ def check_odd_symmetry(
     if r > tol:
         failures.append("generator is not Krein anti-selfadjoint")
 
-    # eps(alpha(x)) = -alpha(eps(x)) on the basis, eps(x) = e x
-    eye = np.eye(algebra.dim)
-    lhs = np.stack([algebra.mul_coords(e, algebra.alpha_coord @ eye[:, i]) for i in range(algebra.dim)])
-    rhs = np.stack([-algebra.alpha_coord @ algebra.mul_coords(e, eye[:, i]) for i in range(algebra.dim)])
-    r = float(np.max(np.linalg.norm(lhs - rhs, axis=-1))) / scale
+    # eps(alpha(x)) = -alpha(eps(x)) on every basis vector
+    alpha = algebra.alpha_coord
+    r = float(np.max(np.linalg.norm(eps @ alpha + alpha @ eps, axis=0))) / scale
     resid = max(resid, r)
     if r > tol:
         failures.append("odd symmetry does not anticommute with alpha")
 
     exists = not failures
 
-    rng = np.random.default_rng(seed)
-    iso_resid = 0.0
-    for _ in range(samples):
-        x = algebra.random_element(rng)
-        nx = x.norm()
-        ne = algebra.op_norm(algebra.mul_coords(e, x.coords))
-        iso_resid = max(iso_resid, abs(ne - nx) / max(1.0, nx))
+    X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
+    nx = algebra.op_norm(X)
+    iso_resid = _worst(np.abs(algebra.op_norm(X @ eps.T) - nx), nx)
     resid = max(resid, iso_resid)
     isometric = iso_resid <= max(tol, 1e-12)
 
@@ -633,48 +671,40 @@ def check_odd_symmetry(
 # -- sampled identity checks ---------------------------------------------------
 
 
+def _norm_identity(
+    algebra: KreinAlgebra, name: str, left: np.ndarray, samples: int, seed: int, tol: float
+) -> CheckResult:
+    """||l(x) x|| = ||x||^2 on sampled x, for the antilinear l(x) = left @ conj(x)."""
+    X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
+    lhs = algebra.op_norm(algebra.mul_coords(np.conj(X) @ left.T, X))
+    nx2 = algebra.op_norm(X) ** 2
+    worst = _worst(np.abs(lhs - nx2), nx2)
+    return CheckResult(name, worst <= tol, worst)
+
+
 def check_cstar_identity(
     algebra: KreinAlgebra, samples: int = 100, seed: int = 3, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """C*-identity ||x^dag x|| = ||x||^2 for the associated involution."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = algebra.random_element(rng)
-        lhs = algebra.op_norm(algebra.mul_coords(x.dagger().coords, x.coords))
-        nx = x.norm()
-        worst = max(worst, abs(lhs - nx * nx) / max(1.0, nx * nx))
-    return CheckResult("cstar_identity", worst <= tol, worst)
+    return _norm_identity(algebra, "cstar_identity", algebra.dagger_coord, samples, seed, tol)
 
 
 def check_krein_identity(
     algebra: KreinAlgebra, samples: int = 100, seed: int = 5, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Krein identity ||alpha(x*) x|| = ||x||^2 for the Krein involution."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = algebra.random_element(rng)
-        y = algebra.alpha_coord @ (algebra.star_coord @ np.conj(x.coords))
-        lhs = algebra.op_norm(algebra.mul_coords(y, x.coords))
-        nx = x.norm()
-        worst = max(worst, abs(lhs - nx * nx) / max(1.0, nx * nx))
-    return CheckResult("krein_identity", worst <= tol, worst)
+    left = algebra.alpha_coord @ algebra.star_coord
+    return _norm_identity(algebra, "krein_identity", left, samples, seed, tol)
 
 
 def check_decomposition(
     algebra: KreinAlgebra, samples: int = 100, seed: int = 7, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Grading: x = x_+ + x_- with alpha(x_+-) = +-x_+-, exactly in coordinates."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = algebra.random_element(rng)
-        ev, od = algebra.even_projection(x.coords), algebra.odd_projection(x.coords)
-        scale = max(1.0, float(np.linalg.norm(x.coords)))
-        worst = max(worst, float(np.linalg.norm(ev + od - x.coords)) / scale)
-        worst = max(worst, float(np.linalg.norm(algebra.alpha_coord @ ev - ev)) / scale)
-        worst = max(worst, float(np.linalg.norm(algebra.alpha_coord @ od + od)) / scale)
+    X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
+    ev, od = algebra.even_projection(X), algebra.odd_projection(X)
+    alpha = algebra.alpha_coord.T
+    worst = max(_rel(r, X) for r in (ev + od - X, ev @ alpha - ev, od @ alpha + od))
     return CheckResult("decomposition", worst <= tol, worst)
 
 
@@ -683,71 +713,55 @@ def check_bimodule_axioms(
 ) -> list[CheckResult]:
     """Hilbert bimodule axioms of the odd part over the even part.
 
-    Basis-triple checks: module associativity, compatibility of both inner
-    products with the even action, even-valuedness; sampled checks:
-    positivity of <x|x> and agreement of the two bimodule norms.
+    Basis-triple checks on the structure constants: module associativity,
+    compatibility of both inner products with the even action,
+    even-valuedness; sampled checks on the ambient matrices of coordinate
+    products: positivity of <x|x> and agreement of the two bimodule norms.
     """
-    E = algebra.even_basis_matrices()
-    O = algebra.odd_basis_matrices()
-    U = algebra.symmetry_unitary
-    results: list[CheckResult] = []
-    if O.shape[0] == 0 or E.shape[0] == 0:
+    eb, ob = algebra.even_basis, algebra.odd_basis
+    m, k, d = eb.shape[1], ob.shape[1], algebra.dim
+    if k == 0 or m == 0:
         zero = CheckResult("bimodule_trivial", True, 0.0, detail="odd part trivial")
         return [zero]
-
-    def rel(diff: np.ndarray, scale: np.ndarray | float) -> float:
-        s = np.maximum(1.0, scale)
-        return float(np.max(np.linalg.norm(diff, axis=(-2, -1)) / s))
+    results: list[CheckResult] = []
+    dob = _dag(algebra, ob)
 
     # (a x) b == a (x b) on basis triples
-    ax = np.einsum("aij,xjk->axik", E, O)
-    xb = np.einsum("xjk,bkl->xbjl", O, E)
-    lhs = np.einsum("axik,bkl->axbil", ax, E)
-    rhs = np.einsum("aij,xbjl->axbil", E, xb)
-    assoc = rel(lhs - rhs, np.linalg.norm(lhs, axis=(-2, -1)))
+    ax = _products(algebra, eb, ob)  # [a, x]
+    xb = _products(algebra, ob, eb)  # [x, b]
+    lhs = _products(algebra, _cols(ax), eb).reshape(m, k * m, d)
+    rhs = _products(algebra, eb, _cols(xb))
+    assoc = _rel(lhs - rhs, lhs)
     results.append(CheckResult("bimodule_associativity", assoc <= tol, assoc))
 
     # right inner product: <x | a y> = <a^dag x | y>, both equal x^dag a y
-    ay = np.einsum("aij,yjk->ayik", E, O)
-    lhs = np.einsum("xji,ayjl->axyil", O.conj(), ay)           # x^dag (a y)
-    adx = np.einsum("aji,xjk->axik", E.conj(), O)              # a^dag x
-    rhs = np.einsum("axji,yjl->axyil", adx.conj(), O)          # (a^dag x)^dag y
-    compat_r = rel(lhs - rhs, np.linalg.norm(lhs, axis=(-2, -1)))
+    lhs = _products(algebra, dob, _cols(ax)).reshape(k, m, k, d)
+    adx = _products(algebra, _dag(algebra, eb), ob)  # [a, x]
+    rhs = _products(algebra, _dag(algebra, _cols(adx)), ob).reshape(m, k, k, d)
+    compat_r = _rel(lhs - rhs.transpose(1, 0, 2, 3), lhs)
     # left inner product: <x b | y> = <x | y b^dag>
-    xb2 = np.einsum("xij,bjk->xbik", O, E)
-    lhs2 = np.einsum("xbij,ylj->xbyil", xb2, O.conj())         # (x b) y^dag
-    ybd = np.einsum("yij,bkj->ybik", O, E.conj())              # y b^dag
-    rhs2 = np.einsum("xij,yblj->xbyil", O, ybd.conj())         # x (y b^dag)^dag
-    compat_l = rel(lhs2 - rhs2, np.linalg.norm(lhs2, axis=(-2, -1)))
+    lhs = _products(algebra, _cols(xb), dob).reshape(k, m, k, d)
+    ybd = _products(algebra, ob, _dag(algebra, eb))  # [y, b]
+    rhs = _products(algebra, ob, _dag(algebra, _cols(ybd))).reshape(k, k, m, d)
+    compat_l = _rel(lhs - rhs.transpose(0, 2, 1, 3), lhs)
     compat = max(compat_r, compat_l)
     results.append(CheckResult("bimodule_inner_compat", compat <= tol, compat))
 
     # both inner products land in the even part
-    left_prods = np.einsum("xij,ykj->xyik", O, O.conj())
-    right_prods = np.einsum("xji,yjk->xyik", O.conj(), O)
-    worst_even = 0.0
-    for P in (left_prods, right_prods):
-        alphaP = np.einsum("ab,xybc,cd->xyad", U, P, U)
-        odd_part = (P - alphaP) / 2.0
-        worst_even = max(worst_even, rel(odd_part, np.linalg.norm(P, axis=(-2, -1))))
+    worst_even = max(
+        _rel(algebra.odd_projection(P), P)
+        for P in (_products(algebra, ob, dob), _products(algebra, dob, ob))
+    )
     results.append(CheckResult("bimodule_even_valued", worst_even <= tol, worst_even))
 
-    rng = np.random.default_rng(seed)
-    min_eig = 0.0
-    norm_gap = 0.0
-    for _ in range(samples):
-        x = algebra.random_odd_element(rng)
-        M = x.matrix()
-        right = M.conj().T @ M
-        left = M @ M.conj().T
-        herm = (right + right.conj().T) / 2.0
-        ev = np.linalg.eigvalsh(herm)
-        min_eig = min(min_eig, float(ev[0]) / max(1.0, float(ev[-1])))
-        norm_gap = max(
-            norm_gap,
-            abs(np.linalg.norm(left, 2) - np.linalg.norm(right, 2))
-            / max(1.0, float(np.linalg.norm(right, 2))),
-        )
+    X = _random_coords(np.random.default_rng(seed), samples, k) @ ob.T
+    Xd = _dag(algebra, X.T).T
+    right = algebra.materialize(algebra.mul_coords(Xd, X))
+    left = algebra.materialize(algebra.mul_coords(X, Xd))
+    ev = np.linalg.eigvalsh((right + right.conj().transpose(0, 2, 1)) / 2.0)
+    min_eig = float(np.min(ev[:, 0] / np.maximum(1.0, ev[:, -1]), initial=0.0))
+    n_right = np.linalg.norm(right, 2, axis=(1, 2))
+    norm_gap = _worst(np.abs(np.linalg.norm(left, 2, axis=(1, 2)) - n_right), n_right)
     results.append(CheckResult("bimodule_positivity", min_eig >= -tol, abs(min_eig)))
     results.append(CheckResult("bimodule_norms_coincide", norm_gap <= tol, norm_gap))
     return results
@@ -757,15 +771,14 @@ def check_imprimitivity(
     algebra: KreinAlgebra, samples: int = 50, seed: int = 17, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Imprimitivity: left<x|y> z = x right<y|z> on odd basis triples."""
-    O = algebra.odd_basis_matrices()
-    if O.shape[0] == 0:
+    ob = algebra.odd_basis
+    if ob.shape[1] == 0:
         return CheckResult("imprimitivity", True, 0.0, detail="odd part trivial")
-    left_ip = np.einsum("xij,ykj->xyik", O, O.conj())
-    lhs = np.einsum("xyik,zkl->xyzil", left_ip, O)
-    right_ip = np.einsum("yji,zjk->yzik", O.conj(), O)
-    rhs = np.einsum("xij,yzjl->xyzil", O, right_ip)
-    scale = np.maximum(1.0, np.linalg.norm(lhs, axis=(-2, -1)))
-    worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1)) / scale))
+    dob = _dag(algebra, ob)
+    lhs = _products(algebra, _cols(_products(algebra, ob, dob)), ob)  # [(x, y), z]
+    rhs = _products(algebra, ob, _cols(_products(algebra, dob, ob)))  # [x, (y, z)]
+    lhs = lhs.reshape(rhs.shape)
+    worst = _rel(lhs - rhs, lhs)
     return CheckResult("imprimitivity", worst <= tol, worst)
 
 

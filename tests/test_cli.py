@@ -107,6 +107,67 @@ class TestSpectrum:
         assert "hypothesis failure" in capsys.readouterr().err
 
 
+VERIFY_CHECKS = [
+    "construction",
+    "cstar_identity",
+    "krein_identity",
+    "decomposition",
+    "bimodule_associativity",
+    "bimodule_inner_compat",
+    "bimodule_even_valued",
+    "bimodule_positivity",
+    "bimodule_norms_coincide",
+    "imprimitivity",
+    "fullness",
+    "commutative_symmetric",
+    "odd_symmetry",
+]
+SPECTRUM_CHECKS = [
+    "spectrum_size",
+    "surjectivity_rank",
+    "injectivity_conditioning",
+    "homomorphism_product",
+    "homomorphism_star",
+    "unital",
+    "intertwines_alpha",
+    "intertwines_odd_symmetry",
+    "isometry",
+    "round_trip",
+]
+
+
+class TestReportStructure:
+    @pytest.mark.parametrize(
+        "command, keys, names",
+        [
+            ("verify", ["checks", "command", "passed", "samples", "seed", "tol"], VERIFY_CHECKS),
+            (
+                "spectrum",
+                [
+                    "characters",
+                    "checks",
+                    "command",
+                    "condition_number",
+                    "passed",
+                    "spectrum_size",
+                    "tol",
+                    "transform_rank",
+                ],
+                SPECTRUM_CHECKS,
+            ),
+        ],
+    )
+    def test_rotated_instance_report(self, tmp_path, command, keys, names):
+        inst = tmp_path / "rot4.json"
+        assert main(["gen", "--points", "4", "--conjugate", "--out", str(inst)]) == 0
+        report = tmp_path / "report.json"
+        assert main([command, "--input", str(inst), "--report", str(report)]) == 0
+        blob = json.loads(report.read_text())
+        assert sorted(blob) == keys
+        assert [c["name"] for c in blob["checks"]] == names
+        assert all(c["passed"] for c in blob["checks"])
+
+
 class TestGen:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,6 +4,8 @@ Function-algebra norms are checked against the per-point closed formula from
 the rank-one module, which is itself oracle-tested separately.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestConstruction:
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         with pytest.raises(AlgebraValidationError, match="span"):
             KreinAlgebra(basis, hadamard)
+
+    @pytest.mark.parametrize("points", [4, 8])
+    def test_unit_residual_is_scale_aware(self, points):
+        # a GL(d) change of basis of condition number 1e4 keeps a valid algebra valid
+        base = build_function_algebra(points)
+        rng = np.random.default_rng(0)
+        scales = np.diag(np.logspace(0, -4, base.dim))
+        mix = random_unitary(base.dim, rng) @ scales @ random_unitary(base.dim, rng)
+        mixed = KreinAlgebra(np.einsum("ij,jab->iab", mix, base.basis), base.symmetry_unitary)
+        assert mixed.validation_residuals["unit"] <= 1e-14
+        # while a wrong unit is still rejected
+        with pytest.raises(AlgebraValidationError, match="unit"):
+            KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=2.0 * base.unit_coords)
 
     def test_unit_distinct_from_ambient_identity(self):
         # A corner subalgebra is unital even though its unit is a proper
@@ -244,6 +259,47 @@ class TestVerdicts:
         verdict = check_odd_symmetry(broken_generator_algebra, samples=10, seed=15)
         assert verdict.exists is False
         assert any("unit" in f for f in verdict.failures)
+
+
+def noise(alg, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = alg.structure.shape
+    return 1e-6 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+# check name -> (check function, altered attribute, its altered value)
+MUTANTS = {
+    "bimodule_associativity": (check_bimodule_axioms, "structure", lambda a: a.structure + noise(a)),
+    "bimodule_inner_compat": (check_bimodule_axioms, "structure", lambda a: a.structure + noise(a)),
+    "bimodule_even_valued": (check_bimodule_axioms, "structure", lambda a: a.structure + noise(a)),
+    "imprimitivity": (check_imprimitivity, "structure", lambda a: a.structure + noise(a)),
+    "bimodule_positivity": (check_bimodule_axioms, "structure", lambda a: -a.structure),
+    "bimodule_norms_coincide": (
+        check_bimodule_axioms,
+        "structure",
+        lambda a: a.structure + noise(a) - noise(a).transpose(1, 0, 2),
+    ),
+    "cstar_identity": (check_cstar_identity, "structure", lambda a: 2.0 * a.structure),
+    "krein_identity": (check_krein_identity, "alpha_coord", lambda a: 1.001 * a.alpha_coord),
+    "decomposition": (check_decomposition, "alpha_coord", lambda a: 1.001 * a.alpha_coord),
+}
+
+
+class TestMutations:
+    @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
+    @pytest.mark.parametrize("name", list(MUTANTS))
+    def test_check_fails_on_its_mutant(self, request, fixture, name):
+        alg = request.getfixturevalue(fixture)
+        check, attr, altered = MUTANTS[name]
+        mutant = copy.copy(alg)
+        setattr(mutant, attr, altered(alg))
+
+        def verdict(a):
+            out = check(a)
+            return next(r for r in (out if isinstance(out, list) else [out]) if r.name == name)
+
+        assert verdict(alg).passed
+        assert not verdict(mutant).passed, verdict(mutant)
 
 
 class TestQuotients:
