@@ -15,6 +15,7 @@ C*-identity under the grading symmetry.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,9 +263,11 @@ def deformed_check(
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    pairs = [(_PROBE, _PROBE)] + [
-        (_sample_element(rng), _sample_element(rng)) for _ in range(samples)
-    ]
+    # drawn lazily: the loop stops once both checks have failed
+    pairs = itertools.chain(
+        [(_PROBE, _PROBE)],
+        ((_sample_element(rng), _sample_element(rng)) for _ in range(samples)),
+    )
 
     witness = None
     is_banach = True

@@ -9,10 +9,11 @@ representative of every class and lands in the function algebra over the
 class set; for commutative, imprimitive instances with an odd generator it
 is an isometric *-isomorphism.
 
-Even characters are found numerically: a random self-adjoint combination of
-an even-part basis is diagonalized, eigenvectors are clustered into joint
-eigenspaces, and every basis element is read off as a scalar per cluster.
-Ambiguous clusterings are retried with fresh coefficients.
+Even characters are read off the even block of the structure tensor: the
+even part is a copy of C^m, so left multiplication by a generic element is
+diagonalizable with the minimal projections as eigenvectors, and the
+characters are the dual basis.  A combination that fails to separate them is
+retried with fresh coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .finite_krein import (
     CheckResult,
     GradedElement,
     KreinAlgebra,
-    _commutators,
     _left_mul,
     _products,
     _random_coords,
@@ -67,7 +67,8 @@ class NotCommutativeError(ValueError):
 
 
 class ClusteringAmbiguityError(RuntimeError):
-    """Joint eigenspace clustering stayed ambiguous after all retries."""
+    """No random combination of the even basis yielded multiplicative
+    characters within the allowed attempts."""
 
 
 class MissingOddGeneratorError(ValueError):
@@ -101,103 +102,49 @@ class EvenCharacter:
         return tuple(key)
 
 
-class _Ambiguous(Exception):
-    pass
-
-
-def _cluster_indices(eigvals: np.ndarray, ctol: float) -> list[np.ndarray]:
-    """Group sorted eigenvalues into runs separated by gaps larger than ctol."""
-    order = np.argsort(eigvals)
-    groups: list[list[int]] = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if eigvals[cur] - eigvals[groups[-1][0]] <= ctol and eigvals[cur] - eigvals[prev] <= ctol:
-            groups[-1].append(cur)
-        else:
-            groups.append([cur])
-    return [np.array(g) for g in groups]
-
-
 def even_characters(
     algebra: KreinAlgebra,
     seed: int = 7,
     tol: float = CHARACTER_TOL,
     retries: int = 5,
 ) -> list[EvenCharacter]:
-    """All characters of the (commutative) even part, one per joint eigenspace.
+    """All characters of the (commutative) even part, one per minimal projection.
 
-    Diagonalizes a random self-adjoint combination of the even basis,
-    clusters eigenvectors at tolerance ``tol`` relative to the spectrum
-    spread, and reads each even basis element off as a scalar per cluster.
-    Clusters on which some element is not scalar, or that produce duplicate
-    value tuples, trigger a retry with fresh random coefficients; after
-    ``retries`` failures a ClusteringAmbiguityError is raised.  The result is
-    sorted lexicographically by value tuple and its length always equals the
-    even dimension.
+    Works on the even block of the structure tensor: left multiplication by
+    a random real combination of the even basis is diagonalized, its
+    eigenvectors are the minimal projections, and the rows of the inverse
+    eigenvector matrix, scaled to read 1 on the unit, are the characters.
+    They are accepted when multiplicative to ``tol`` relative to their size;
+    otherwise the next combination is tried, and after ``retries`` attempts
+    a ClusteringAmbiguityError is raised.  The result is sorted
+    lexicographically by value tuple and its length always equals the even
+    dimension.
     """
     eb = algebra.even_basis
-    m = eb.shape[1]
-    emats = algebra.even_basis_matrices()
-
-    comm = float(np.max(np.abs(_commutators(algebra, eb, eb)), initial=0.0))
+    # L[i, a, j]: coordinate a of the product of even basis elements i and j
+    L = np.einsum("ka,ijk->iaj", eb.conj(), _products(algebra, eb, eb))
+    comm = float(np.max(np.abs(L - L.transpose(2, 1, 0)), initial=0.0))
     if comm > tol * max(1.0, float(np.max(np.abs(algebra.structure)))):
         raise NotCommutativeError(
             f"even part is not commutative (residual {comm:.3e})"
         )
 
-    unit_mat = algebra.materialize(algebra.unit_coords)
-    herms = np.concatenate(
-        [
-            (emats + emats.conj().transpose(0, 2, 1)) / 2.0,
-            (emats - emats.conj().transpose(0, 2, 1)) / 2.0j,
-        ]
-    )
+    unit = eb.conj().T @ algebra.unit_coords
     rng = np.random.default_rng(seed)
-    reason = "no attempt made"
     for _ in range(max(1, retries)):
-        coeffs = rng.standard_normal(herms.shape[0])
-        S = np.einsum("i,iab->ab", coeffs, herms)
-        S = (S + S.conj().T) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(S)
-        spread = float(eigvals[-1] - eigvals[0])
-        ctol = tol * max(1.0, spread)
-        try:
-            value_rows = []
-            for idx in _cluster_indices(eigvals, ctol):
-                V = eigvecs[:, idx]
-                k = len(idx)
-                unit_block = V.conj().T @ unit_mat @ V
-                uval = complex(np.trace(unit_block)) / k
-                if np.linalg.norm(unit_block - uval * np.eye(k), 2) > tol * max(1.0, abs(uval)):
-                    raise _Ambiguous("unit is not scalar on a cluster")
-                if abs(uval) < 0.5:
-                    continue  # null space of the representation, not a character
-                if abs(uval - 1.0) > 100 * tol:
-                    raise _Ambiguous("cluster mixes the unit eigenvalues")
-                vals = np.empty(m, dtype=complex)
-                for j, F in enumerate(emats):
-                    block = V.conj().T @ F @ V
-                    val = complex(np.trace(block)) / k
-                    if np.linalg.norm(block - val * np.eye(k), 2) > tol * max(
-                        1.0, float(np.linalg.norm(F, 2))
-                    ):
-                        raise _Ambiguous("an even basis element is not scalar on a cluster")
-                    vals[j] = val
-                value_rows.append(vals)
-            for i in range(len(value_rows)):
-                for j in range(i + 1, len(value_rows)):
-                    if np.max(np.abs(value_rows[i] - value_rows[j])) <= 10 * tol:
-                        raise _Ambiguous("two clusters produced the same character")
-            if len(value_rows) != m:
-                raise _Ambiguous(
-                    f"found {len(value_rows)} characters, even dimension is {m}"
-                )
-        except _Ambiguous as exc:
-            reason = str(exc)
-            continue
-        chars = [EvenCharacter(algebra, v) for v in value_rows]
-        chars.sort(key=EvenCharacter.sort_key)
-        return chars
-    raise ClusteringAmbiguityError(reason)
+        _, V = np.linalg.eig(np.einsum("i,iaj->aj", rng.standard_normal(L.shape[0]), L))
+        W = np.linalg.inv(V)
+        W = W / (W @ unit)[:, None]
+        gap = np.einsum("ra,iaj->rij", W, L) - W[:, :, None] * W[:, None, :]
+        resid = float(np.max(np.abs(gap)))
+        if resid <= tol * max(1.0, float(np.max(np.abs(W)))) ** 2:
+            chars = [EvenCharacter(algebra, w) for w in W]
+            chars.sort(key=EvenCharacter.sort_key)
+            return chars
+    raise ClusteringAmbiguityError(
+        "no combination of the even basis separated the characters "
+        f"(multiplicativity residual {resid:.3e})"
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,3 +61,26 @@ def no_generator_algebra():
     """Function algebra with the odd generator withheld; otherwise intact."""
     base = build_function_algebra(2)
     return KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=base.unit_coords)
+
+
+@pytest.fixture(scope="session")
+def mixed_function_algebra():
+    """Builder of function algebras over ``points`` points whose basis is mixed
+    by random_unitary . diag(logspace(0, -4)) . random_unitary (seed 0), a
+    GL(d) change of condition number 1e4.  Returns the algebra and the matrix
+    taking standard-frame coordinates to mixed-frame coordinates."""
+
+    def build(points):
+        base = build_function_algebra(points)
+        rng = np.random.default_rng(0)
+        scales = np.diag(np.logspace(0, -4, base.dim))
+        mix = random_unitary(base.dim, rng) @ scales @ random_unitary(base.dim, rng)
+        to_mixed = np.linalg.inv(mix).T
+        alg = KreinAlgebra(
+            np.einsum("ij,jab->iab", mix, base.basis),
+            base.symmetry_unitary,
+            odd_generator=to_mixed @ base.odd_generator_coords,
+        )
+        return alg, to_mixed
+
+    return build

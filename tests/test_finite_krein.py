@@ -104,14 +104,11 @@ class TestConstruction:
             KreinAlgebra(basis, hadamard)
 
     @pytest.mark.parametrize("points", [4, 8])
-    def test_unit_residual_is_scale_aware(self, points):
+    def test_unit_residual_is_scale_aware(self, points, mixed_function_algebra):
         # a GL(d) change of basis of condition number 1e4 keeps a valid algebra valid
-        base = build_function_algebra(points)
-        rng = np.random.default_rng(0)
-        scales = np.diag(np.logspace(0, -4, base.dim))
-        mix = random_unitary(base.dim, rng) @ scales @ random_unitary(base.dim, rng)
-        mixed = KreinAlgebra(np.einsum("ij,jab->iab", mix, base.basis), base.symmetry_unitary)
+        mixed, _ = mixed_function_algebra(points)
         assert mixed.validation_residuals["unit"] <= 1e-14
+        base = build_function_algebra(points)
         # while a wrong unit is still rejected
         with pytest.raises(AlgebraValidationError, match="unit"):
             KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=2.0 * base.unit_coords)
@@ -249,6 +246,16 @@ class TestVerdicts:
         assert verdict.exists is True
         assert verdict.isometric
         assert verdict.max_residual <= 1e-10
+
+    def test_odd_symmetry_residual_is_relative(self, mixed_function_algebra):
+        # In a cond-1e4 frame ||e|| is about 4e3; a passing verdict must report
+        # the residual it was judged on, not one ||e||^2 times larger.
+        alg, _ = mixed_function_algebra(4)
+        tol = 1e-9
+        verdict = check_odd_symmetry(alg, tol=tol)
+        assert verdict.exists is True
+        assert verdict.isometric
+        assert verdict.max_residual <= tol
 
     def test_odd_symmetry_unknown_without_generator(self, no_generator_algebra):
         verdict = check_odd_symmetry(no_generator_algebra, samples=10, seed=14)

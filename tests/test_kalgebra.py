@@ -25,6 +25,7 @@ from kreinalg import (
     k_norm,
     k_star,
 )
+from kreinalg import kalgebra
 
 
 def svd_norm(x):
@@ -284,6 +285,16 @@ class TestDeformed:
                 assert verdict.witness is not None
                 assert verdict.witness.check == "submultiplicative"
                 assert verdict.witness.lhs > verdict.witness.rhs
+
+    def test_stops_drawing_samples_once_both_checks_fail(self, monkeypatch):
+        # At theta = pi the prepended probe already fails both checks.
+        drawn = []
+        sample = kalgebra._sample_element
+        monkeypatch.setattr(kalgebra, "_sample_element", lambda rng: drawn.append(1) or sample(rng))
+        samples = 100
+        verdict = deformed_check(DeformedAlgebra(np.pi, -1), samples=samples)
+        assert not verdict.is_banach and not verdict.is_krein
+        assert len(drawn) < 2 * samples
 
     def test_left_regular_norm_agrees_when_untwisted(self):
         alg = DeformedAlgebra(0.0, -1)

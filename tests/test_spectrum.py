@@ -5,11 +5,14 @@ function algebra over n points the even characters must be exactly the n
 point evaluations, which we can write down without running any eigensolver.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from kreinalg import (
     Character,
+    ClusteringAmbiguityError,
     KElem,
     KreinAlgebra,
     MissingOddGeneratorError,
@@ -33,14 +36,15 @@ from kreinalg import (
 )
 
 
-def evaluation_table(algebra, omegas):
+def evaluation_table(algebra, omegas, to_frame=None):
     """Each character read on the standard even elements (the point
-    projections), as a sorted tuple of rounded value vectors."""
+    projections), as a sorted tuple of rounded value vectors.  ``to_frame``
+    maps standard coordinates to the algebra's coordinate frame."""
     n = algebra.dim // 2
-    eye = np.eye(algebra.dim)
+    points = np.eye(algebra.dim) if to_frame is None else to_frame.T
     rows = []
     for om in omegas:
-        rows.append(tuple(complex(np.round(om.eval_coords(eye[2 * p]), 8)) for p in range(n)))
+        rows.append(tuple(complex(np.round(om.eval_coords(points[2 * p]), 8)) for p in range(n)))
     return sorted(rows, key=lambda r: [(z.real, z.imag) for z in r])
 
 
@@ -61,8 +65,8 @@ class TestEvenCharacters:
             assert complex(om.eval_coords(alg.unit_coords)) == pytest.approx(1.0, abs=1e-10)
 
     def test_corner_algebra_has_one_character(self):
-        # The ambient zero eigenvalue is junk (the unit reads 0 there), so a
-        # single character must survive.
+        # The unit is a proper projection of the ambient space; the ambient
+        # complement carries no character.
         basis = np.zeros((1, 2, 2), dtype=complex)
         basis[0, 0, 0] = 1.0
         alg = KreinAlgebra(basis, np.eye(2))
@@ -70,16 +74,23 @@ class TestEvenCharacters:
         assert len(omegas) == 1
         assert complex(omegas[0].eval_coords([1.0])) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("points", [1, 2, 3, 4])
-    def test_matches_point_evaluations(self, points):
-        alg = build_function_algebra(points)
+    @pytest.mark.parametrize(
+        "points, mixed",
+        [pytest.param(p, False, id=str(p)) for p in (1, 2, 3, 4)]
+        + [pytest.param(p, True, id=f"{p}-mixed") for p in (2, 4)],
+    )
+    def test_matches_point_evaluations(self, points, mixed, mixed_function_algebra):
+        if mixed:
+            alg, to_frame = mixed_function_algebra(points)
+        else:
+            alg, to_frame = build_function_algebra(points), None
         omegas = even_characters(alg)
         assert len(omegas) == points
         expected = sort_rows(
             tuple(complex(1.0 if q == p else 0.0) for q in range(points))
             for p in range(points)
         )
-        assert evaluation_table(alg, omegas) == expected
+        assert evaluation_table(alg, omegas, to_frame) == expected
 
     def test_frame_independent(self, fn3, conj3):
         # Coordinates do not change under conjugation, so the value tables
@@ -91,6 +102,15 @@ class TestEvenCharacters:
     def test_rejects_noncommutative(self, m2_algebra):
         with pytest.raises(NotCommutativeError):
             even_characters(m2_algebra)
+
+    def test_rejects_corrupt_structure_tensor(self, fn3):
+        # Noise symmetric in the two factors keeps the even part commutative,
+        # so only the multiplicativity of the characters can expose it.
+        noise = 1e-6 * np.random.default_rng(0).standard_normal(fn3.structure.shape)
+        mutant = copy.copy(fn3)
+        mutant.structure = fn3.structure + (noise + noise.transpose(1, 0, 2)) / 2
+        with pytest.raises(ClusteringAmbiguityError):
+            even_characters(mutant)
 
     def test_deterministic_and_seed_stable(self, fn3):
         first = even_characters(fn3, seed=7)
