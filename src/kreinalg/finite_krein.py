@@ -8,9 +8,11 @@ norm is the ambient operator norm, and the grading splits every element into
 even and odd parts (x +- alpha(x))/2.
 
 Elements are stored as coordinate vectors against the basis; matrices are
-materialized on demand.  The checks compute with the structure tensor
-(coordinates of every basis product), ``dagger_coord`` and ``alpha_coord``;
-the one ambient cross-check is the operator norm of sampled products.
+materialized on demand.  Construction is the one ambient-to-coordinate step:
+one SVD of the basis gives the span solver, and stacked matrix products give
+the structure tensor (coordinates of every basis product), ``dagger_coord``
+and ``alpha_coord``.  The checks compute with these; the one ambient
+cross-check is the operator norm of sampled products.
 
 The odd part of a commutative instance carries two Hilbert bimodule inner
 products over the even part, and an optional odd generator e (e^2 = unit,
@@ -283,13 +285,13 @@ class KreinAlgebra:
 
         d = self.dim
         flat = _vec(B)  # (d, n^2), rows are vectorized basis matrices
-        sv = np.linalg.svd(flat, compute_uv=False)
+        u, sv, vh = np.linalg.svd(flat, full_matrices=False)
         indep = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
         self.validation_residuals["basis_independence"] = indep
         if indep <= tol:
             raise AlgebraValidationError("basis is not linearly independent")
-        # coords c of a matrix M solve flat.T @ c = vec(M)
-        self._solver = np.linalg.pinv(flat.T)
+        # coords c of a matrix M solve c @ flat = vec(M): c = vec(M) @ pinv(flat)
+        self._solver = (vh.conj().T / sv) @ u.conj().T
 
         r_unitary = float(np.linalg.norm(U.conj().T @ U - np.eye(n), 2))
         self.validation_residuals["symmetry_unitarity"] = r_unitary
@@ -300,23 +302,19 @@ class KreinAlgebra:
         if r_invol > tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
 
-        products = np.einsum("iab,jbc->ijac", B, B)
-        self.structure, r_prod = self._batch_coords(products.reshape(d * d, n, n))
-        self.structure = self.structure.reshape(d, d, d)
+        self.structure, r_prod = self._batch_coords(B[:, None] @ B)  # (B_i B_j)_k
         self.validation_residuals["product_closure"] = r_prod
         if r_prod > tol:
             raise AlgebraValidationError("basis span is not closed under multiplication")
 
-        adjoints = B.conj().transpose(0, 2, 1)
-        self.dagger_coord, r_adj = self._batch_coords(adjoints)
-        self.dagger_coord = self.dagger_coord.T  # columns: image coords of basis vectors
+        adjoints, r_adj = self._batch_coords(B.conj().transpose(0, 2, 1))
+        self.dagger_coord = adjoints.T  # columns: image coords of basis vectors
         self.validation_residuals["adjoint_closure"] = r_adj
         if r_adj > tol:
             raise AlgebraValidationError("basis span is not closed under adjoints")
 
-        alpha_mats = np.einsum("ab,ibc,cd->iad", U, B, U)
-        self.alpha_coord, r_alpha = self._batch_coords(alpha_mats)
-        self.alpha_coord = self.alpha_coord.T
+        images, r_alpha = self._batch_coords(U @ B @ U)
+        self.alpha_coord = images.T
         self.validation_residuals["alpha_closure"] = r_alpha
         if r_alpha > tol:
             raise AlgebraValidationError("symmetry does not preserve the basis span")
@@ -352,13 +350,14 @@ class KreinAlgebra:
     # -- coordinate plumbing ------------------------------------------------
 
     def _batch_coords(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coordinates of a stack of matrices plus the worst span residual."""
+        """Coordinates (..., d) of matrices (..., n, n) plus the worst span residual."""
         vecs = _vec(mats)
-        coords = vecs @ self._solver.T
+        coords = vecs @ self._solver
         recon = coords @ _vec(self.basis)
-        errs = np.linalg.norm(recon - vecs, axis=-1)
+        recon -= vecs
+        errs = np.linalg.norm(recon, axis=-1)
         scales = np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
-        return coords, float(np.max(errs / scales)) if len(errs) else 0.0
+        return coords, float(np.max(errs / scales, initial=0.0))
 
     def _resolve_unit(self, unit_coords) -> tuple[np.ndarray, float]:
         d = self.dim
@@ -392,11 +391,10 @@ class KreinAlgebra:
     def coords_of_matrix(self, mat, tol: float | None = None) -> np.ndarray:
         """Coordinates of an ambient matrix, raising SpanError off the span."""
         tol = self.tol if tol is None else tol
-        M = np.asarray(mat, dtype=complex)
-        coords, resid = self._batch_coords(M[None, :, :])
+        coords, resid = self._batch_coords(np.asarray(mat, dtype=complex))
         if resid > tol:
             raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
-        return coords[0]
+        return coords
 
     def mul_coords(self, c1, c2) -> np.ndarray:
         """Coordinates of c1 c2; stacked rows (..., d) multiply row by row."""
@@ -496,7 +494,7 @@ def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) 
         raise AlgebraValidationError(f"conjugating unitary must be {n} x {n}")
     if np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) > (tol or algebra.tol):
         raise AlgebraValidationError("conjugating matrix is not unitary")
-    new_basis = np.einsum("ab,ibc,cd->iad", Q, algebra.basis, Q.conj().T)
+    new_basis = Q @ algebra.basis @ Q.conj().T
     new_sym = Q @ algebra.symmetry_unitary @ Q.conj().T
     return KreinAlgebra(
         new_basis,
@@ -794,23 +792,14 @@ def quotient_with_map(
     tol = algebra.tol if tol is None else tol
     d, n = algebra.dim, algebra.ambient_dim
     rows = [np.asarray(_own(algebra, x).coords, dtype=complex) for x in ideal_basis]
-    if rows:
-        raw = np.array(rows)
-        u, s, vh = np.linalg.svd(raw, full_matrices=False)
-        keep = s > (tol * s[0] if s[0] > 0 else 0)
-        ortho = vh[keep]  # (k, d) orthonormal rows spanning the ideal coords
-    else:
-        ortho = np.zeros((0, d), dtype=complex)
-    k = ortho.shape[0]
+    _, s, vh = np.linalg.svd(np.reshape(rows, (-1, d)), full_matrices=True)
+    k = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    # orthonormal rows spanning the ideal coords (k, d) and their complement (d - k, d)
+    ortho, comp = vh[:k], vh[k:]
 
     def outside(vectors: np.ndarray) -> float:
         # residual of coordinate vectors against the ideal coordinate span
-        if k == 0:
-            return float(np.max(np.linalg.norm(vectors, axis=-1))) if vectors.size else 0.0
-        proj = (vectors @ ortho.conj().T) @ ortho
-        errs = np.linalg.norm(vectors - proj, axis=-1)
-        scales = np.maximum(1.0, np.linalg.norm(vectors, axis=-1))
-        return float(np.max(errs / scales)) if vectors.size else 0.0
+        return _rel(vectors - (vectors @ ortho.conj().T) @ ortho, vectors)
 
     if k:
         # structure[i, j, k] holds (B_i B_j)_k
@@ -835,40 +824,28 @@ def quotient_with_map(
         if unit_resid <= tol:
             raise NotAnIdealError("ideal contains the unit; quotient would be trivial")
 
-    if k == 0:
-        W = np.eye(n, dtype=complex)
-    else:
-        ideal_mats = np.einsum("ri,iab->rab", ortho, algebra.basis)
-        stacked = np.concatenate(list(ideal_mats), axis=1)  # (n, k*n)
-        u_full, s_full, _ = np.linalg.svd(stacked, full_matrices=True)
-        rank_v = int(np.sum(s_full > tol * s_full[0])) if s_full.size and s_full[0] > 0 else 0
-        W = u_full[:, rank_v:]  # orthonormal basis of the complement of the ideal range
+    ideal_mats = algebra.materialize(ortho)  # (k, n, n)
+    u_full, s_full, _ = np.linalg.svd(
+        ideal_mats.transpose(1, 0, 2).reshape(n, k * n), full_matrices=True
+    )
+    rank_v = int(np.sum(s_full > tol * s_full[0])) if s_full.size and s_full[0] > 0 else 0
+    W = u_full[:, rank_v:]  # orthonormal basis of the complement of the ideal range
     if W.shape[1] == 0:
         raise NotAnIdealError("ideal range covers the whole space; quotient would be trivial")
 
-    # complement of the ideal inside the coordinate space
-    if k:
-        _, _, vh_full = np.linalg.svd(ortho, full_matrices=True)
-        comp = vh_full[k:]  # (d - k, d)
-    else:
-        comp = np.eye(d, dtype=complex)
-
-    compressed = np.einsum("pa,iab,bq->ipq", W.conj().T, algebra.basis, W)  # (d, m, m)
+    compressed = W.conj().T @ algebra.basis @ W  # (d, m, m)
     new_basis = np.einsum("ci,ipq->cpq", comp, compressed)
     new_sym = W.conj().T @ algebra.symmetry_unitary @ W
-    new_e = None
-    if algebra.odd_generator_coords is not None:
-        new_e_raw = np.einsum("i,ipq->pq", algebra.odd_generator_coords, compressed)
-        quot = KreinAlgebra(new_basis, new_sym, tol=tol)
-        new_e = quot.coords_of_matrix(new_e_raw)
-        quot = KreinAlgebra(
-            new_basis, new_sym, unit_coords=quot.unit_coords, odd_generator=new_e, tol=tol
-        )
-    else:
-        quot = KreinAlgebra(new_basis, new_sym, tol=tol)
+    quot = KreinAlgebra(new_basis, new_sym, tol=tol)
 
     # coordinate map: old basis vector i -> coords of W^dag B_i W in the new basis
-    cmap = np.stack([quot.coords_of_matrix(compressed[i]) for i in range(d)], axis=1)
+    coords, resid = quot._batch_coords(compressed)
+    if resid > tol:
+        raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
+    cmap = coords.T
+    if algebra.odd_generator_coords is not None:
+        # the map is linear, so it carries the generator's coordinates along
+        quot.odd_generator_coords = cmap @ algebra.odd_generator_coords
     return quot, cmap
 
 

@@ -66,14 +66,14 @@ def no_generator_algebra():
 @pytest.fixture(scope="session")
 def mixed_function_algebra():
     """Builder of function algebras over ``points`` points whose basis is mixed
-    by random_unitary . diag(logspace(0, -4)) . random_unitary (seed 0), a
-    GL(d) change of condition number 1e4.  Returns the algebra and the matrix
-    taking standard-frame coordinates to mixed-frame coordinates."""
+    by random_unitary . diag(logspace(0, -cond_exp)) . random_unitary (seed 0),
+    a GL(d) change of condition number 10**cond_exp.  Returns the algebra and
+    the matrix taking standard-frame coordinates to mixed-frame coordinates."""
 
-    def build(points):
+    def build(points, cond_exp=4):
         base = build_function_algebra(points)
         rng = np.random.default_rng(0)
-        scales = np.diag(np.logspace(0, -4, base.dim))
+        scales = np.diag(np.logspace(0, -cond_exp, base.dim))
         mix = random_unitary(base.dim, rng) @ scales @ random_unitary(base.dim, rng)
         to_mixed = np.linalg.inv(mix).T
         alg = KreinAlgebra(

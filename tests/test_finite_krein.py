@@ -113,6 +113,17 @@ class TestConstruction:
         with pytest.raises(AlgebraValidationError, match="unit"):
             KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=2.0 * base.unit_coords)
 
+    @pytest.mark.parametrize("cond_exp", [4, 6], ids=["cond1e4", "cond1e6"])
+    @pytest.mark.parametrize("points", [2, 4, 8])
+    def test_validation_residuals_stay_at_roundoff_in_mixed_frames(
+        self, points, cond_exp, mixed_function_algebra
+    ):
+        # basis_independence reads 1/cond by design; the rest are backward
+        # errors of order cond * eps
+        mixed, _ = mixed_function_algebra(points, cond_exp)
+        for name, resid in mixed.validation_residuals.items():
+            assert name == "basis_independence" or resid <= 1e-9, (name, resid)
+
     def test_unit_distinct_from_ambient_identity(self):
         # A corner subalgebra is unital even though its unit is a proper
         # projection of the ambient space.

@@ -120,6 +120,22 @@ class TestEvenCharacters:
         other = even_characters(fn3, seed=12345)
         assert evaluation_table(fn3, first) == evaluation_table(fn3, other)
 
+    @pytest.mark.parametrize("name", ["fn3", "conj3"])
+    def test_order_does_not_depend_on_even_basis(self, name, request):
+        # even_basis is one orthonormal basis of a degenerate subspace; any
+        # other must give the same characters in the same order
+        alg = request.getfixturevalue(name)
+
+        def full_values(a):
+            return np.array([om.values @ a.even_basis.conj().T for om in even_characters(a)])
+
+        want = full_values(alg)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            turned = copy.copy(alg)
+            turned.even_basis = alg.even_basis @ random_unitary(3, rng)
+            assert np.allclose(full_values(turned), want, atol=1e-9)
+
 
 class TestExtension:
     def test_single_point_extension_is_the_identity(self, fn1):
