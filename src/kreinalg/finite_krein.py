@@ -11,8 +11,15 @@ Elements are stored as coordinate vectors against the basis; matrices are
 materialized on demand.  Construction is the one ambient-to-coordinate step:
 one SVD of the basis gives the span solver, and stacked matrix products give
 the structure tensor (coordinates of every basis product), ``dagger_coord``
-and ``alpha_coord``.  The checks compute with these; the one ambient
-cross-check is the operator norm of sampled products.
+and ``alpha_coord``.  The structure tensor is built one left factor at a
+time, so construction works in O(d n^2) memory rather than holding all d^2
+basis products.  The checks compute with these; the one ambient cross-check
+is the operator norm of sampled products.
+
+Instance files store complex entries as [re, im] pairs.  They are read by
+checking the nesting and leaf types once, then converting with one array
+call, and written from one stacked array; the field path of a malformed
+entry is formatted only when it is reported.
 
 The odd part of a commutative instance carries two Hilbert bimodule inner
 products over the even part, and an optional odd generator e (e^2 = unit,
@@ -22,6 +29,7 @@ e* = -e, e odd) represents the odd symmetry x -> e x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -302,7 +310,12 @@ class KreinAlgebra:
         if r_invol > tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
 
-        self.structure, r_prod = self._batch_coords(B[:, None] @ B)  # (B_i B_j)_k
+        # (B_i B_j)_k, one left factor at a time: O(d n^2) working memory, not O(d^2 n^2)
+        self.structure = np.empty((d, d, d), dtype=complex)
+        row_resid = np.empty(d)
+        for i in range(d):
+            self.structure[i], row_resid[i] = self._batch_coords(B[i] @ B)
+        r_prod = float(row_resid.max())
         self.validation_residuals["product_closure"] = r_prod
         if r_prod > tol:
             raise AlgebraValidationError("basis span is not closed under multiplication")
@@ -860,47 +873,59 @@ def quotient_by_ideal(
 # -- serialization -------------------------------------------------------------
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs_to_json(M) -> list:
+    """Nested [re, im] lists of a complex array, one pair per entry."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
-def _matrix_to_json(M: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(M, dtype=complex)]
+_PAIR_MESSAGE = "expected a [re, im] pair of numbers"
 
 
-def _coords_to_json(c: np.ndarray) -> list:
-    return [_pair(z) for z in np.asarray(c, dtype=complex).reshape(-1)]
+def _all_pairs(pairs: list) -> bool:
+    """Whether every entry is a [re, im] pair of numbers.
+
+    C-level passes over the entries and their leaves collect the distinct
+    types, which are then checked once each.  The type check stays explicit
+    because numpy would also read "1.0", True and None as floats.
+    """
+    return (
+        all(issubclass(t, (list, tuple)) for t in set(map(type, pairs)))
+        and set(map(len, pairs)) <= {2}
+        and all(
+            issubclass(t, (int, float)) and not issubclass(t, bool)
+            for t in set(map(type, chain.from_iterable(pairs)))
+        )
+    )
 
 
-def _pair_from_json(v, field_path: str) -> complex:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v)
-    ):
-        raise InstanceFormatError("expected a [re, im] pair of numbers", field_path)
-    return complex(v[0], v[1])
+def _pairs_from_json(pairs, shape: tuple) -> np.ndarray:
+    """Complex array of checked [re, im] pairs, converted in one array pass."""
+    return np.array(pairs, dtype=float).reshape(shape + (2,)).view(complex)[..., 0]
+
+
+def _first_bad_pair(pairs: list) -> int:
+    return next(i for i, v in enumerate(pairs) if not _all_pairs([v]))
 
 
 def _matrix_from_json(rows, field_path: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise InstanceFormatError("expected a non-empty list of rows", field_path)
-    n = len(rows)
-    out = np.zeros((n, len(rows[0]) if isinstance(rows[0], list) else 0), dtype=complex)
+    m = len(rows[0]) if isinstance(rows[0], list) else 0
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != out.shape[1]:
+        if not isinstance(row, list) or len(row) != m:
             raise InstanceFormatError("rows must all have equal length", f"{field_path}[{i}]")
-        for j, v in enumerate(row):
-            out[i, j] = _pair_from_json(v, f"{field_path}[{i}][{j}]")
-    return out
+        if not _all_pairs(row):
+            raise InstanceFormatError(_PAIR_MESSAGE, f"{field_path}[{i}][{_first_bad_pair(row)}]")
+    return _pairs_from_json(rows, (len(rows), m))
 
 
 def _coords_from_json(vals, field_path: str) -> np.ndarray:
     if not isinstance(vals, list) or not vals:
         raise InstanceFormatError("expected a non-empty coordinate list", field_path)
-    return np.array(
-        [_pair_from_json(v, f"{field_path}[{i}]") for i, v in enumerate(vals)], dtype=complex
-    )
+    if not _all_pairs(vals):
+        raise InstanceFormatError(_PAIR_MESSAGE, f"{field_path}[{_first_bad_pair(vals)}]")
+    return _pairs_from_json(vals, (len(vals),))
 
 
 def function_algebra_instance(points: int) -> dict:
@@ -911,11 +936,11 @@ def algebra_to_instance_dict(algebra: KreinAlgebra) -> dict:
     out = {
         "kind": "matrix_algebra",
         "ambient_dim": algebra.ambient_dim,
-        "basis": [_matrix_to_json(B) for B in algebra.basis],
-        "symmetry_unitary": _matrix_to_json(algebra.symmetry_unitary),
+        "basis": _pairs_to_json(algebra.basis),
+        "symmetry_unitary": _pairs_to_json(algebra.symmetry_unitary),
         "odd_generator": None
         if algebra.odd_generator_coords is None
-        else _coords_to_json(algebra.odd_generator_coords),
+        else _pairs_to_json(np.reshape(algebra.odd_generator_coords, -1)),
     }
     return out
 

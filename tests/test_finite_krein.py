@@ -5,6 +5,7 @@ the rank-one module, which is itself oracle-tested separately.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,41 @@ class TestConstruction:
         basis[1, 1, 0] = 1.0
         with pytest.raises(AlgebraValidationError, match="multiplication"):
             KreinAlgebra(basis, np.eye(2))
+
+    @pytest.mark.parametrize("left", ["first", "last"])
+    def test_product_closure_covers_every_left_factor(self, left):
+        # span{E12, E21, E22}: E12 E21 = E11 is its only product off the span,
+        # so only the row of left factor E12 (first or last) fails closure
+        order = [(0, 1), (1, 0), (1, 1)] if left == "first" else [(1, 0), (1, 1), (0, 1)]
+        basis = np.zeros((3, 2, 2), dtype=complex)
+        for i, (p, q) in enumerate(order):
+            basis[i, p, q] = 1.0
+        flat = basis.reshape(3, 4).T
+        prods = (basis[:, None] @ basis).reshape(9, 4).T
+        coords, *_ = np.linalg.lstsq(flat, prods, rcond=None)
+        off_span = np.linalg.norm(flat @ coords - prods, axis=0).reshape(3, 3) > 0.5
+        assert np.flatnonzero(off_span.any(axis=1)).tolist() == [0 if left == "first" else 2]
+        with pytest.raises(AlgebraValidationError, match="multiplication"):
+            KreinAlgebra(basis, np.eye(2))
+
+    def test_structure_matches_least_squares_reference(self, conj3):
+        d, n = conj3.dim, conj3.ambient_dim
+        flat = conj3.basis.reshape(d, n * n).T
+        prods = np.einsum("iab,jbc->ijac", conj3.basis, conj3.basis).reshape(d * d, n * n)
+        ref, *_ = np.linalg.lstsq(flat, prods.T, rcond=None)
+        assert np.max(np.abs(conj3.structure - ref.T.reshape(d, d, d))) <= 1e-13
+
+    def test_construction_holds_less_than_one_product_stack(self):
+        # one full (d, d, n, n) stack of basis products would take d^2 n^2 16 B
+        points = 16
+        d = n = 2 * points
+        tracemalloc.start()
+        try:
+            build_function_algebra(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * n * n * 16
 
     def test_rejects_symmetry_leaving_the_span(self):
         basis = np.zeros((2, 2, 2), dtype=complex)
@@ -405,22 +441,54 @@ class TestSerialization:
         assert np.allclose(alg.basis, conj3.basis, atol=1e-15)
         assert np.allclose(alg.odd_generator_coords, conj3.odd_generator_coords, atol=1e-15)
 
+    PAIR = "expected a [re, im] pair of numbers"
+
     @pytest.mark.parametrize(
-        "mutate, field_hint",
+        "mutate, field, message",
         [
-            (lambda d: d.update(kind="mystery"), "kind"),
-            (lambda d: d.pop("basis"), "basis"),
-            (lambda d: d["basis"][0].pop(0), "basis"),
-            (lambda d: d["symmetry_unitary"][0].__setitem__(0, [1.0]), "symmetry_unitary"),
-            (lambda d: d.update(odd_generator=[[1.0, 0.0]]), "odd_generator"),
+            (
+                lambda d: d.update(kind="mystery"),
+                "kind",
+                "kind must be 'function_algebra' or 'matrix_algebra'",
+            ),
+            (lambda d: d.pop("basis"), "basis", "required field missing"),
+            (lambda d: d["basis"][0].pop(0), "basis[0]", "matrix must be 4 x 4, got (3, 4)"),
+            (
+                lambda d: d["symmetry_unitary"][0].__setitem__(0, [1.0]),
+                "symmetry_unitary[0][0]",
+                PAIR,
+            ),
+            (
+                lambda d: d.update(odd_generator=[[1.0, 0.0]]),
+                "odd_generator",
+                "needs 4 coordinates, got 1",
+            ),
+            (lambda d: d["basis"][1][2].__setitem__(0, [True, 0.0]), "basis[1][2][0]", PAIR),
+            (lambda d: d["basis"][0][0].__setitem__(1, ["1.0", 0.0]), "basis[0][0][1]", PAIR),
+            (lambda d: d["basis"][2][3].__setitem__(3, [1.0, 0.0, 0.0]), "basis[2][3][3]", PAIR),
+            (lambda d: d["basis"][0][1].__setitem__(1, [0.0, None]), "basis[0][1][1]", PAIR),
+            (lambda d: d["basis"][3][1].pop(), "basis[3][1]", "rows must all have equal length"),
+            (lambda d: d["odd_generator"].__setitem__(2, ["0.0", 1.0]), "odd_generator[2]", PAIR),
+            (
+                lambda d: d["symmetry_unitary"][0].__setitem__(1, [False, 0.0]),
+                "symmetry_unitary[0][1]",
+                PAIR,
+            ),
+            # the first offender in reading order is named, not a later one
+            (
+                lambda d: (d["basis"][1][3].__setitem__(0, [0.0, "x"]), d["basis"][2][0].pop()),
+                "basis[1][3][0]",
+                PAIR,
+            ),
         ],
     )
-    def test_malformed_instances_name_the_field(self, mutate, field_hint):
+    def test_malformed_instances_name_the_field(self, mutate, field, message):
         blob = algebra_to_instance_dict(build_function_algebra(2))
         mutate(blob)
         with pytest.raises(InstanceFormatError) as err:
             algebra_from_instance_dict(blob)
-        assert field_hint in err.value.field
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
 
     def test_function_kind_rejects_zero_points(self):
         with pytest.raises(InstanceFormatError):
