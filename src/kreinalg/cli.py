@@ -44,11 +44,11 @@ from .finite_krein import (
     check_decomposition,
     check_full,
     check_imprimitivity,
-    check_krein_identity,
     check_odd_symmetry,
     conjugate_algebra,
     function_algebra_instance,
     random_unitary,
+    _krein_from_cstar,
 )
 from .spectrum import SpectralHypothesisError, verify_spectral_theorem
 
@@ -133,8 +133,8 @@ def run_verify(cfg: RunConfig) -> int:
         v for k, v in algebra.validation_residuals.items() if k != "basis_independence"
     )
     checks.append(CheckResult("construction", construction <= tol, construction))
-    checks.append(check_cstar_identity(algebra, samples, seed, tol))
-    checks.append(check_krein_identity(algebra, samples, seed + 1, tol))
+    cstar = check_cstar_identity(algebra, samples, seed, tol)
+    checks += [cstar, _krein_from_cstar(algebra, cstar, tol)]
     checks.append(check_decomposition(algebra, samples, seed + 2, tol))
     checks.extend(check_bimodule_axioms(algebra, samples, seed + 3, tol))
     checks.append(check_imprimitivity(algebra, samples, seed + 4, tol))
@@ -232,8 +232,7 @@ def run_gen(cfg: RunConfig) -> int:
         data = algebra_to_instance_dict(conjugate_algebra(base, Q))
     else:
         data = function_algebra_instance(cfg.points)
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    cfg.output_path.write_text(text)
+    _dump_json(data, cfg.output_path)
     print(f"wrote {cfg.output_path}")
     return EXIT_OK
 

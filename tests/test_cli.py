@@ -70,6 +70,16 @@ class TestVerify:
         assert main(["verify", "--input", str(inst)]) == 2
         assert "basis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_leaf_is_a_schema_error(self, tmp_path, capsys, text):
+        inst = tmp_path / "nonfinite.json"
+        blob = algebra_to_instance_dict(build_function_algebra(2))
+        blob["basis"][0][1][1] = ["@", 0.0]
+        inst.write_text(json.dumps(blob).replace('"@"', text))
+        assert main(["verify", "--input", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert "basis[0][1][1]: expected a [re, im] pair of finite numbers" in err
+
     def test_missing_file_is_a_schema_error(self, tmp_path):
         assert main(["verify", "--input", str(tmp_path / "absent.json")]) == 2
 

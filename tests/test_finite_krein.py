@@ -264,6 +264,22 @@ class TestInnerProducts:
         left, right = inner_products(fn3, x, y)
         assert left.is_even(tol=1e-12) and right.is_even(tol=1e-12)
 
+    def test_checks_hold_no_basis_triple_stack(self):
+        # one (m, k m, d) stack of basis-triple products would take m^2 k d 16 B
+        points = 24
+        alg = conjugate_algebra(
+            build_function_algebra(points), random_unitary(2 * points, np.random.default_rng(5))
+        )
+        m, k, d = alg.even_basis.shape[1], alg.odd_basis.shape[1], alg.dim
+        tracemalloc.start()
+        try:
+            check_bimodule_axioms(alg, samples=4)
+            check_imprimitivity(alg, samples=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * k * m * d * 16
+
     def test_bimodule_suite(self, fn3, conj3):
         for alg in (fn3, conj3):
             results = check_bimodule_axioms(alg, samples=30, seed=11)
@@ -339,6 +355,21 @@ MUTANTS = {
 }
 
 
+def sparse_defect(alg):
+    s = alg.structure.copy()
+    s[1, 0, 1] += 1e-6  # one structure constant: B_1 B_0, odd times even
+    return s
+
+
+# (check name, check, altered structure) beyond one mutant per check: a defect
+# in a single triple that random probes must still see, and the C*-identity
+# mutant, which the Krein identity's own sampled pass must catch
+MORE_MUTANTS = {
+    "imprimitivity-sparse": ("imprimitivity", check_imprimitivity, sparse_defect),
+    "krein_identity-doubled": ("krein_identity", check_krein_identity, lambda a: 2.0 * a.structure),
+}
+
+
 class TestMutations:
     @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
     @pytest.mark.parametrize("name", list(MUTANTS))
@@ -354,6 +385,17 @@ class TestMutations:
 
         assert verdict(alg).passed
         assert not verdict(mutant).passed, verdict(mutant)
+
+    @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
+    @pytest.mark.parametrize("case", list(MORE_MUTANTS))
+    def test_check_fails_on_more_mutants(self, request, fixture, case):
+        alg = request.getfixturevalue(fixture)
+        name, check, altered = MORE_MUTANTS[case]
+        mutant = copy.copy(alg)
+        mutant.structure = altered(alg)
+        assert check(alg).passed
+        result = check(mutant)
+        assert result.name == name and not result.passed, result
 
 
 class TestQuotients:
@@ -442,6 +484,7 @@ class TestSerialization:
         assert np.allclose(alg.odd_generator_coords, conj3.odd_generator_coords, atol=1e-15)
 
     PAIR = "expected a [re, im] pair of numbers"
+    FINITE = "expected a [re, im] pair of finite numbers"
 
     @pytest.mark.parametrize(
         "mutate, field, message",
@@ -473,6 +516,28 @@ class TestSerialization:
                 lambda d: d["symmetry_unitary"][0].__setitem__(1, [False, 0.0]),
                 "symmetry_unitary[0][1]",
                 PAIR,
+            ),
+            # numbers Python's json reads that are not finite floats
+            (lambda d: d["basis"][0][0].__setitem__(0, [np.nan, 0.0]), "basis[0][0][0]", FINITE),
+            (lambda d: d["basis"][2][1].__setitem__(3, [0.0, -np.inf]), "basis[2][1][3]", FINITE),
+            (
+                lambda d: d["symmetry_unitary"][1].__setitem__(0, [float("1e400"), 0.0]),
+                "symmetry_unitary[1][0]",
+                FINITE,
+            ),
+            (lambda d: d["basis"][0][0].__setitem__(0, [10**400, 0]), "basis[0][0][0]", FINITE),
+            (
+                lambda d: d["odd_generator"].__setitem__(3, [0, -(10**400)]),
+                "odd_generator[3]",
+                FINITE,
+            ),
+            (
+                lambda d: (
+                    d["basis"][1][0].__setitem__(1, [np.nan, 0.0]),
+                    d["basis"][1][3].__setitem__(0, [10**400, 0]),
+                ),
+                "basis[1][0][1]",
+                FINITE,
             ),
             # the first offender in reading order is named, not a later one
             (
