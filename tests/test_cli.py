@@ -80,6 +80,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "basis[0][1][1]: expected a [re, im] pair of finite numbers" in err
 
+    def test_more_basis_matrices_than_entries_is_a_schema_error(self, tmp_path, capsys):
+        inst = tmp_path / "dependent.json"
+        blob = {
+            "kind": "matrix_algebra",
+            "ambient_dim": 1,
+            "basis": [[[[1.0, 0.0]]], [[[2.0, 0.0]]]],
+            "symmetry_unitary": [[[1.0, 0.0]]],
+        }
+        inst.write_text(json.dumps(blob))
+        assert main(["verify", "--input", str(inst)]) == 2
+        assert "basis is not linearly independent" in capsys.readouterr().err
+
     def test_missing_file_is_a_schema_error(self, tmp_path):
         assert main(["verify", "--input", str(tmp_path / "absent.json")]) == 2
 

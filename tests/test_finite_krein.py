@@ -69,6 +69,17 @@ class TestConstruction:
         with pytest.raises(AlgebraValidationError, match="independent"):
             KreinAlgebra(basis, np.eye(2))
 
+    @pytest.mark.parametrize("case", ["1x1-pair", "m2-units-plus-identity"])
+    def test_rejects_more_basis_matrices_than_entries(self, case):
+        # d > n^2: the SVD has only n^2 singular values, all of them nonzero
+        if case == "1x1-pair":
+            basis = np.array([[[1.0]], [[2.0]]], dtype=complex)
+        else:
+            basis = np.concatenate([np.eye(4).reshape(4, 2, 2), np.eye(2)[None]]).astype(complex)
+        n = basis.shape[1]
+        with pytest.raises(AlgebraValidationError, match="basis is not linearly independent"):
+            KreinAlgebra(basis, np.eye(n))
+
     def test_rejects_non_unitary_symmetry(self):
         alg = build_function_algebra(1)
         bad = np.array(alg.symmetry_unitary)
@@ -112,12 +123,56 @@ class TestConstruction:
         with pytest.raises(AlgebraValidationError, match="multiplication"):
             KreinAlgebra(basis, np.eye(2))
 
-    def test_structure_matches_least_squares_reference(self, conj3):
-        d, n = conj3.dim, conj3.ambient_dim
-        flat = conj3.basis.reshape(d, n * n).T
-        prods = np.einsum("iab,jbc->ijac", conj3.basis, conj3.basis).reshape(d * d, n * n)
+    @staticmethod
+    def least_squares_structure(alg):
+        d, n = alg.dim, alg.ambient_dim
+        flat = alg.basis.reshape(d, n * n).T
+        prods = np.einsum("iab,jbc->ijac", alg.basis, alg.basis).reshape(d * d, n * n)
         ref, *_ = np.linalg.lstsq(flat, prods.T, rcond=None)
-        assert np.max(np.abs(conj3.structure - ref.T.reshape(d, d, d))) <= 1e-13
+        return ref.T.reshape(d, d, d)
+
+    def test_structure_matches_least_squares_reference(self, conj3):
+        ref = self.least_squares_structure(conj3)
+        assert np.max(np.abs(conj3.structure - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("cond_exp", [4, 6], ids=["cond1e4", "cond1e6"])
+    @pytest.mark.parametrize("points", [2, 4, 8])
+    def test_structure_matches_least_squares_reference_in_mixed_frames(
+        self, points, cond_exp, mixed_function_algebra
+    ):
+        # the pivot solve against the least-squares projection of whole products
+        mixed, _ = mixed_function_algebra(points, cond_exp)
+        ref = self.least_squares_structure(mixed)
+        assert np.max(np.abs(mixed.structure - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_closure_probes_see_a_defect_off_the_pivots(self, conj3):
+        # the pivot solve fits every product on its pivot entries, so a
+        # perturbed basis matrix shows only in the Gaussian probes
+        basis = conj3.basis.copy()
+        basis[1] += 1e-6 * np.random.default_rng(0).standard_normal(basis[1].shape)
+        with pytest.raises(AlgebraValidationError, match="multiplication"):
+            KreinAlgebra(basis, conj3.symmetry_unitary)
+
+    # m2_algebra is noncommutative, so it also pins the order of the factors
+    @pytest.mark.parametrize("fixture", ["fn3", "conj3", "m2_algebra"])
+    def test_mul_coords_is_the_structure_contraction(self, request, fixture):
+        alg = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(4)
+
+        def rows(*shape):
+            return rng.standard_normal(shape + (alg.dim,)) + 1j * rng.standard_normal(shape + (alg.dim,))
+
+        for c1, c2 in [
+            (rows(), rows()),                # two elements
+            (rows(7), rows(7)),              # stacked rows, row by row
+            (rows(7), rows()),               # a stack times one element
+            (rows(), rows(7)),               # one element times a stack
+            (rows(3, 1), rows(1, 5)),        # broadcast stacks
+        ]:
+            want = np.einsum("...i,...j,ijk->...k", c1, c2, alg.structure)
+            got = alg.mul_coords(c1, c2)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_construction_holds_less_than_one_product_stack(self):
         # one full (d, d, n, n) stack of basis products would take d^2 n^2 16 B
