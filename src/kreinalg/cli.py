@@ -25,6 +25,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +95,99 @@ class RunConfig:
         return self
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return encode_basestring_ascii(k) + ": "
+
+
+def _float_rows(rows, level: int) -> str | None:
+    """The text of a list of equal-length lists of finite floats (such as a row
+    of [re, im] pairs) from one %r template per item; None for any other list."""
+    first = rows[0]
+    if not (isinstance(first, (list, tuple)) and first and type(first[0]) is float):
+        return None
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    leaves = tuple(chain.from_iterable(rows))
+    if set(map(type, leaves)) != {float}:
+        return None
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    item = "[" + inner + ("," + inner).join(["%r"] * len(first)) + outer + "]"
+    text = "[" + outer + ("," + outer).join([item] * len(rows)) + outer[:-2] + "]"
+    text %= leaves
+    return None if "n" in text else text  # "nan" and "inf" take the general path
+
+
+def _encode(o, level: int) -> str:
+    """json.dumps(o, sort_keys=True, indent=2) for a value nested `level` deep;
+    dict keys must be strings."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        text = _float_rows(o, level)
+        if text is not None:
+            return text
+        nl = "\n" + "  " * (level + 1)
+        return "[" + nl + ("," + nl).join([_encode(v, level + 1) for v in o]) + nl[:-2] + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        nl = "\n" + "  " * (level + 1)
+        members = [_key_text(k) + _encode(v, level + 1) for k, v in sorted(o.items())]
+        return "{" + nl + ("," + nl).join(members) + nl[:-2] + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _pieces(o, level: int = 0, depth: int = 2):
+    """The text of _encode(o, level), in pieces: containers in the top `depth`
+    levels yield one piece per member, so a large value is never held whole."""
+    if depth == 0 or not isinstance(o, (dict, list, tuple)) or not o:
+        yield _encode(o, level)
+        return
+    nl = "\n" + "  " * (level + 1)
+    if isinstance(o, dict):
+        opening, closing = "{", "}"
+        members = [(_key_text(k), v) for k, v in sorted(o.items())]
+    else:
+        opening, closing = "[", "]"
+        members = [("", v) for v in o]
+    for i, (prefix, v) in enumerate(members):
+        yield ("," if i else opening) + nl + prefix
+        yield from _pieces(v, level + 1, depth - 1)
+    yield nl[:-2] + closing
+
+
 def _dump_json(data: dict, path: Path | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        path.write_text(text)
+    """Write json.dumps(data, sort_keys=True, indent=2) plus a newline to path;
+    with no path, format nothing."""
+    if path is None:
+        return
+    with path.open("w") as f:
+        f.writelines(_pieces(data))
+        f.write("\n")
 
 
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:

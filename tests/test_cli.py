@@ -1,11 +1,26 @@
 """End-to-end CLI tests: exit codes, report files, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kreinalg import algebra_to_instance_dict, build_function_algebra
+import kreinalg
+from kreinalg import (
+    algebra_to_instance_dict,
+    build_function_algebra,
+    conjugate_algebra,
+    function_algebra_instance,
+    random_unitary,
+)
+from kreinalg import cli
 from kreinalg.cli import main
 
 
@@ -211,6 +226,20 @@ class TestGen:
     def test_rejects_nonpositive_points(self, tmp_path):
         assert main(["gen", "--points", "0", "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("points", [1, 2, 8, 24])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_bytes_equal_json_dumps(self, tmp_path, points, conjugate):
+        out = tmp_path / "inst.json"
+        argv = ["gen", "--points", str(points), "--seed", "3", "--out", str(out)]
+        assert main(argv + ["--conjugate"] * conjugate) == 0
+        if conjugate:
+            base = build_function_algebra(points)
+            Q = random_unitary(base.ambient_dim, np.random.default_rng(3))
+            data = algebra_to_instance_dict(conjugate_algebra(base, Q))
+        else:
+            data = function_algebra_instance(points)
+        assert out.read_bytes() == (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
+
 
 class TestCounterexample:
     def test_landscape(self, tmp_path):
@@ -249,3 +278,60 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["verify"])
         assert err.value.code == 2
+
+
+# JSON values of the shapes the CLI writes, and the edge cases of json.dumps:
+# empty containers, tuples, NaN, infinities, -0.0, non-ASCII strings, ragged
+# rows, rows mixing ints and floats, and equal-length float rows (the
+# writer's fast path) with and without non-finite entries.
+_floats = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+_float_rows = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(_floats, min_size=k, max_size=k), min_size=1, max_size=4)
+)
+_scalars = st.none() | st.booleans() | st.integers() | _floats | st.text()
+_rows = st.lists(st.lists(st.integers() | st.floats(allow_nan=False), max_size=3), max_size=4)
+_json_values = st.recursive(
+    _scalars | _float_rows | _rows,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(_json_values)
+    def test_bytes_equal_json_dumps(self, data):
+        expected = json.dumps(data, sort_keys=True, indent=2)
+        assert cli._encode(data, 0) == expected
+        assert "".join(cli._pieces(data)) == expected
+
+    def test_no_path_formats_nothing(self, good_instance, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("report formatted without a path")
+
+        monkeypatch.setattr(cli, "_pieces", refuse)
+        assert main(["verify", "--input", str(good_instance)]) == 0
+        assert main(["spectrum", "--input", str(good_instance)]) == 0
+        assert main(["counterexample", "--grid", "2"]) == 0
+
+
+def test_cli_path_does_not_import_scipy(tmp_path):
+    """A spectrum run on a rotated instance loads numpy but not scipy."""
+    script = """
+import sys
+import kreinalg, kreinalg.cli
+
+inst, report = sys.argv[1:]
+assert kreinalg.cli.main(["gen", "--points", "2", "--conjugate", "--out", inst]) == 0
+assert kreinalg.cli.main(["spectrum", "--input", inst, "--report", report]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(kreinalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "rot2.json"), str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -34,6 +34,7 @@ from kreinalg import (
     spectrum_classes,
     verify_spectral_theorem,
 )
+from kreinalg.spectrum import _largest_principal_angle
 
 
 def evaluation_table(algebra, omegas, to_frame=None):
@@ -266,6 +267,38 @@ class TestKernels:
                 assert all(r.passed for r in results), [
                     (r.name, r.max_residual) for r in results if not r.passed
                 ]
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-10, 1e-6, 0.3, 1.5])
+    @pytest.mark.parametrize("p, q", [(4, 4), (5, 2), (2, 5)])
+    def test_largest_principal_angle(self, theta, p, q):
+        """Spans of Q[:, :p] and Q[:, :q] with one column of the second tilted
+        by theta out of the first: the largest angle is theta."""
+        rng = np.random.default_rng(17)
+        n = 9
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        A, B = Q[:, :p], Q[:, :q].copy()
+        B[:, 0] = np.cos(theta) * Q[:, 0] + np.sin(theta) * Q[:, -1]
+        assert _largest_principal_angle(A, B) == pytest.approx(theta, rel=1e-12, abs=1e-15)
+        assert _largest_principal_angle(B, A) == pytest.approx(theta, rel=1e-12, abs=1e-15)
+
+    def test_tilted_partner_kernel_fails(self, fn3, monkeypatch):
+        """The partner's kernel tilted by 1e-6 out of the true kernel must
+        fail equal_even_parts_equal_kernels."""
+        w = spectrum_classes(fn3)[0].even_rep
+        K = w.kernel_basis()
+        U = np.linalg.svd(K)[0]
+        tilted = K.copy()
+        tilted[:, 0] = np.cos(1e-6) * K[:, 0] + np.sin(1e-6) * U[:, -1]
+        kernel_basis = Character.kernel_basis
+
+        def tilt_partner(self, tol=1e-8):
+            return kernel_basis(self, tol) if self is w else tilted
+
+        monkeypatch.setattr(Character, "kernel_basis", tilt_partner)
+        results = {r.name: r for r in kernel_lemma_checks(fn3, w, samples=10, seed=10)}
+        verdict = results["equal_even_parts_equal_kernels"]
+        assert not verdict.passed
+        assert verdict.max_residual == pytest.approx(1e-6, rel=1e-6)
 
     def test_kernel_dimension(self, fn3):
         w = spectrum_classes(fn3)[0].even_rep
