@@ -14,8 +14,9 @@ counterexample
     involution signs, and report which cells satisfy which axioms.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
-arguments, 3 spectral-theorem hypothesis failure.  Reports are JSON and are
-deterministic functions of the input bytes and flags.
+arguments or an unwritable output path, 3 spectral-theorem hypothesis
+failure.  Reports are JSON and are deterministic functions of the input
+bytes and flags.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class RunConfig:
     def validated(self) -> "RunConfig":
         if self.command not in ("verify", "spectrum", "gen", "counterexample"):
             raise ValueError(f"unknown command {self.command!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be a positive finite number")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.command in ("verify", "spectrum") and self.input_path is None:
@@ -180,21 +181,29 @@ def _pieces(o, level: int = 0, depth: int = 2):
     yield nl[:-2] + closing
 
 
-def _dump_json(data: dict, path: Path | None) -> None:
+def _dump_json(data: dict, path: Path | None) -> bool:
     """Write json.dumps(data, sort_keys=True, indent=2) plus a newline to path;
-    with no path, format nothing."""
+    with no path, format nothing.  False, with the error printed, when the
+    file cannot be written."""
     if path is None:
-        return
-    with path.open("w") as f:
-        f.writelines(_pieces(data))
-        f.write("\n")
+        return True
+    try:
+        with path.open("w") as f:
+            f.writelines(_pieces(data))
+            f.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
     try:
-        raw = json.loads(cfg.input_path.read_text())
+        raw = json.loads(cfg.input_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InstanceFormatError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -278,7 +287,8 @@ def run_verify(cfg: RunConfig) -> int:
         "checks": [c.to_dict() for c in checks],
         "passed": passed,
     }
-    _dump_json(report, cfg.output_path)
+    if not _dump_json(report, cfg.output_path):
+        return EXIT_BAD_INPUT
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -294,13 +304,9 @@ def run_spectrum(cfg: RunConfig) -> int:
         report = verify_spectral_theorem(algebra, cfg.samples, cfg.seed, cfg.tol)
     except SpectralHypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
-        _dump_json(
-            {
-                "command": "spectrum",
-                "error": {"hypothesis": exc.hypothesis, "message": str(exc)},
-            },
-            cfg.output_path,
-        )
+        error = {"hypothesis": exc.hypothesis, "message": str(exc)}
+        if not _dump_json({"command": "spectrum", "error": error}, cfg.output_path):
+            return EXIT_BAD_INPUT
         return EXIT_HYPOTHESIS
 
     print(f"spectrum: {cfg.input_path}")
@@ -310,7 +316,8 @@ def run_spectrum(cfg: RunConfig) -> int:
     data = report.to_dict()
     data["command"] = "spectrum"
     data["tol"] = cfg.tol
-    _dump_json(data, cfg.output_path)
+    if not _dump_json(data, cfg.output_path):
+        return EXIT_BAD_INPUT
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -323,7 +330,8 @@ def run_gen(cfg: RunConfig) -> int:
         data = algebra_to_instance_dict(conjugate_algebra(base, Q))
     else:
         data = function_algebra_instance(cfg.points)
-    _dump_json(data, cfg.output_path)
+    if not _dump_json(data, cfg.output_path):
+        return EXIT_BAD_INPUT
     print(f"wrote {cfg.output_path}")
     return EXIT_OK
 
@@ -400,7 +408,8 @@ def run_counterexample(cfg: RunConfig) -> int:
         "unique_pass_at_theta0_minus": unique_pass,
         "pi_flagged_non_banach": pi_flagged,
     }
-    _dump_json(report, cfg.output_path)
+    if not _dump_json(report, cfg.output_path):
+        return EXIT_BAD_INPUT
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

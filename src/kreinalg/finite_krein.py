@@ -20,7 +20,22 @@ pivots, so closure under products is certified off them, by Gaussian probe
 columns, in O(d^2 n^2 s) time for s = _PROBES.  ``dagger_coord``,
 ``alpha_coord`` and ``coords_of_matrix`` keep a full span-membership
 residual.  The checks compute with these; the one ambient cross-check is
-the operator norm of sampled products.
+the operator norm of sampled products (and the spectrum of their Hermitian
+parts, for bimodule positivity).
+
+Those norms come from one unitary frame W, built on the first norm taken
+and cached: W diagonalizes the Hermitian part of a random span element
+seeded from the basis bytes, corrected to first order by a second one.  A
+commutative *-closed span is diagonalized by one unitary (Bunse-Gerstner,
+Byers & Mehrmann, SIAM J. Matrix Anal. Appl. 14(4), 1993), so the frame
+keeps the diagonals Delta[j, i] = (W^H B_j W)_ii and the Gram matrix G of
+the off-diagonal parts O_j, at O(d n^3) once.  A stack of s rows then costs
+one O(s d n) GEMM instead of s dense n x n SVDs: ||x|| = max_i |(c Delta)_i|
+moves by at most ||sum c_j O_j||_2 <= beta(c) = sqrt(Re c G c^*) (Weyl), and
+a row with beta(c) > 1e-3 tol ||x|| takes the dense SVD instead, as every
+row of a noncommutative algebra does.  The frame reads ``basis`` alone,
+never ``structure``, ``dagger_coord`` or ``alpha_coord``, so the ambient
+cross-check stays independent of the coordinate machinery it checks.
 
 Instance files store complex entries as [re, im] pairs.  They are read by
 checking the nesting and leaf types once, then converting with one array
@@ -39,6 +54,7 @@ import hashlib
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -293,7 +309,9 @@ class KreinAlgebra:
         ``check_odd_symmetry`` reports on them, so defective generators can
         be represented and diagnosed.
     tol : float
-        Relative residual bound for all construction validations.
+        Relative residual bound for all construction validations; also sets
+        when an operator norm falls back to a dense SVD (see ``op_norm``).
+        Must be positive and finite.
 
     Construction costs O(d^3 n + d^2 n^2 s) time for s = _PROBES, plus
     O(d^2 n^2) for one QR factorisation of the vectorized basis and the
@@ -314,6 +332,8 @@ class KreinAlgebra:
         odd_generator=None,
         tol: float = DEFAULT_TOL,
     ):
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be a positive finite number, got {tol}")
         B = np.asarray(basis, dtype=complex)
         if B.ndim != 3 or B.shape[0] < 1 or B.shape[1] != B.shape[2]:
             raise AlgebraValidationError(
@@ -360,6 +380,10 @@ class KreinAlgebra:
         if r_invol > tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
 
+        # seeds the closure probes and the norm frame: a function of the input alone
+        digest = hashlib.blake2b(repr(B.shape).encode(), digest_size=8)
+        digest.update(np.ascontiguousarray(B))
+        self._seed = int.from_bytes(digest.digest(), "little")
         self.structure = self._pivot_structure()
         r_prod = self._closure_residual()
         self.validation_residuals["product_closure"] = r_prod
@@ -441,9 +465,7 @@ class KreinAlgebra:
         the input alone and no fixed probe can be aimed at.  O(d^2 n^2 _PROBES).
         """
         B, d, n = self.basis, self.dim, self.ambient_dim
-        digest = hashlib.blake2b(repr(B.shape).encode(), digest_size=8)
-        digest.update(np.ascontiguousarray(B))
-        rng = np.random.default_rng(int.from_bytes(digest.digest(), "little"))
+        rng = np.random.default_rng(self._seed)
         BV = B @ (_random_coords(rng, n, _PROBES) / np.sqrt(_PROBES))  # (d, n, s)
         BV_cols = BV.transpose(1, 0, 2).reshape(n, d * _PROBES)  # [B_1 V ... B_d V]
         BV_rows = BV.reshape(d, n * _PROBES)
@@ -507,9 +529,65 @@ class KreinAlgebra:
     def odd_projection(self, coords) -> np.ndarray:
         return (coords - coords @ self.alpha_coord.T) / 2.0
 
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonals Delta (d x n) and off-diagonal Gram matrix G (d x d) of the
+        basis in one unitary frame W, from ``basis`` alone; built on first use.
+
+        W comes from eigh of the Hermitian part H_1 of a random span element.
+        Where two eigenvalues of H_1 nearly meet, W mixes their joint
+        eigenspaces by about eps ||H_1|| / gap, so a second random Hermitian
+        element H_2 corrects W to first order on each pair it separates
+        better (a gap above sqrt(eps) ||H_2||: smaller ones are one joint
+        eigenspace), and a QR makes W unitary again.  beta is computed in
+        the final frame, so the correction only decides how many rows need
+        the dense fallback.  O(d n^3) time and two (d, n, n) temporaries."""
+        rng = np.random.default_rng(self._seed)
+
+        def hermitian_element() -> np.ndarray:
+            m = self.materialize(_random_coords(rng, 1, self.dim)[0])
+            return m + m.conj().T
+
+        h, W = np.linalg.eigh(hermitian_element())
+        C = W.conj().T @ hermitian_element() @ W
+        c = np.diagonal(C).real
+        gap = c[None, :] - c[:, None]  # gap[i, k] = c_k - c_i
+        floor = np.sqrt(np.finfo(float).eps) * np.max(np.abs(c))
+        fix = np.abs(gap) > np.maximum(np.abs(h[None, :] - h[:, None]), floor)
+        # first-order eigenvectors of C: column k gains C[i, k] / (c_k - c_i) e_i
+        K = np.where(fix, C, 0) / np.where(fix, gap, 1)
+        W = np.linalg.qr(W + W @ K)[0]
+        T = W.conj().T @ self.basis @ W
+        n = self.ambient_dim
+        diag = np.diagonal(T, axis1=1, axis2=2).copy()
+        T[:, range(n), range(n)] = 0
+        off = T.reshape(self.dim, n * n)
+        return diag, off @ off.conj().T
+
+    def _frame_diagonal(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonals (s, n) of W^H x W for coordinate rows (s, d), and the mask of
+        rows they do not certify: beta(c) > 1e-3 tol max_i |(c Delta)_i|, or NaN."""
+        diag, gram = self._frame
+        vals = rows @ diag
+        beta = np.sqrt(np.abs(np.sum((rows @ gram) * np.conj(rows), axis=-1)))
+        return vals, ~(beta <= 1e-3 * self.tol * np.max(np.abs(vals), axis=-1))
+
     def op_norm(self, coords) -> float | np.ndarray:
-        """Ambient operator norm; stacked rows give an array of norms."""
-        return np.linalg.norm(self.materialize(coords), 2, axis=(-2, -1))
+        """Ambient operator norm; stacked rows give an array of norms.
+
+        A row c reads max_i |(c Delta)_i| off the cached frame (see the module
+        docstring) in O(d n) after the frame's one-off O(d n^3).  That value
+        is the norm up to the certified bound beta(c) = sqrt(Re c G c^*) >=
+        the off-diagonal part's ||.||_2; a row with beta(c) > 1e-3 tol ||x||
+        takes a dense SVD instead, so every returned norm is within 1e-3 tol
+        relative of the SVD's, plus roundoff."""
+        c = np.asarray(coords, dtype=complex)
+        rows = c.reshape(-1, self.dim)
+        vals, dense = self._frame_diagonal(rows)
+        norms = np.max(np.abs(vals), axis=-1)
+        if dense.any():
+            norms[dense] = np.linalg.norm(self.materialize(rows[dense]), 2, axis=(-2, -1))
+        return norms.reshape(c.shape[:-1])[()]
 
     # -- element factories ----------------------------------------------------
 
@@ -808,7 +886,8 @@ def check_bimodule_axioms(
     so a defect on some basis triple is a nonzero polynomial in the random
     coefficients and shows almost surely (Freivalds, 1977), in O(d^3) time
     and O(d^2) memory.  Sampled on ambient matrices of coordinate products:
-    positivity of <x|x> and agreement of the two bimodule norms.
+    positivity of <x|x> and agreement of the two bimodule norms, both read
+    off the norm frame (``KreinAlgebra.op_norm``) with its dense fallback.
     """
     eb, ob = algebra.even_basis, algebra.odd_basis
     m, k = eb.shape[1], ob.shape[1]
@@ -844,12 +923,18 @@ def check_bimodule_axioms(
     results.append(CheckResult("bimodule_even_valued", worst_even <= tol, worst_even))
 
     Xd = _dag(algebra, X.T).T
-    n_left = np.linalg.norm(algebra.materialize(algebra.mul_coords(X, Xd)), 2, axis=(1, 2))
-    right = algebra.materialize(algebra.mul_coords(Xd, X))
-    n_right = np.linalg.norm(right, 2, axis=(1, 2))
-    right += right.conj().transpose(0, 2, 1)  # in place: one (samples, n, n) stack at a time
-    ev = np.linalg.eigvalsh(right / 2.0)
-    min_eig = float(np.min(ev[:, 0] / np.maximum(1.0, ev[:, -1]), initial=0.0))
+    n_left = algebra.op_norm(algebra.mul_coords(X, Xd))
+    right = algebra.mul_coords(Xd, X)
+    n_right = algebra.op_norm(right)
+    # the Hermitian part's eigenvalues are Re(c Delta) within beta(c), by Weyl
+    vals, dense = algebra._frame_diagonal(right)
+    lo, hi = vals.real.min(axis=-1), vals.real.max(axis=-1)
+    if dense.any():
+        herm = algebra.materialize(right[dense])
+        herm += herm.conj().transpose(0, 2, 1)
+        ev = np.linalg.eigvalsh(herm / 2.0)
+        lo[dense], hi[dense] = ev[:, 0], ev[:, -1]
+    min_eig = float(np.min(lo / np.maximum(1.0, hi), initial=0.0))
     norm_gap = _worst(np.abs(n_left - n_right), n_right)
     results.append(CheckResult("bimodule_positivity", min_eig >= -tol, abs(min_eig)))
     results.append(CheckResult("bimodule_norms_coincide", norm_gap <= tol, norm_gap))

@@ -268,6 +268,43 @@ class TestCounterexample:
         assert main(["counterexample", "--grid", "8", "--samples", "0"]) == 2
 
 
+class TestBadArgumentsAndFiles:
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_non_finite_tol_exits_2(self, good_instance, capsys, command, tol):
+        assert main([command, "--input", str(good_instance), "--tol", tol]) == 2
+        assert "tol must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
+        inst = tmp_path / "latin1.json"
+        inst.write_bytes(b'\xff{"kind": "function_algebra", "points": 2}')
+        assert main([command, "--input", str(inst)]) == 2
+        assert "input is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--input", "{good}", "--report"],
+            ["spectrum", "--input", "{good}", "--report"],
+            ["spectrum", "--input", "{nonfull}", "--report"],  # the exit-3 report
+            ["gen", "--points", "2", "--out"],
+            ["counterexample", "--grid", "2", "--report"],
+        ],
+        ids=["verify", "spectrum", "spectrum-hypothesis", "gen", "counterexample"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, good_instance, capsys, argv):
+        base = build_function_algebra(2)
+        nonfull = tmp_path / "nonfull.json"
+        trimmed = kreinalg.KreinAlgebra(np.delete(base.basis, 3, axis=0), base.symmetry_unitary)
+        nonfull.write_text(json.dumps(algebra_to_instance_dict(trimmed)))
+        target = tmp_path / "missing" / "out.json"
+        paths = {"good": good_instance, "nonfull": nonfull}
+        assert main([a.format(**paths) for a in argv] + [str(target)]) == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+        assert not target.parent.exists()
+
+
 class TestParser:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -5,6 +5,7 @@ the rank-one module, which is itself oracle-tested separately.
 """
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from kreinalg import (
     algebra_from_instance_dict,
     algebra_to_instance_dict,
     build_function_algebra,
+    character_kernel_ideal,
     check_bimodule_axioms,
     check_commutative_symmetric,
     check_cstar_identity,
@@ -32,12 +34,15 @@ from kreinalg import (
     check_krein_identity,
     check_odd_symmetry,
     conjugate_algebra,
+    even_characters,
     function_algebra_instance,
     k_norm,
     quotient_by_ideal,
     quotient_with_map,
     random_unitary,
+    verify_spectral_theorem,
 )
+from kreinalg.finite_krein import _random_coords
 
 
 def block_values(algebra, x):
@@ -215,6 +220,12 @@ class TestConstruction:
         for name, resid in mixed.validation_residuals.items():
             assert name == "basis_independence" or resid <= 1e-9, (name, resid)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_rejects_unusable_tol(self, tol):
+        base = build_function_algebra(1)
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            KreinAlgebra(base.basis, base.symmetry_unitary, tol=tol)
+
     def test_unit_distinct_from_ambient_identity(self):
         # A corner subalgebra is unital even though its unit is a proper
         # projection of the ambient space.
@@ -300,6 +311,116 @@ class TestNorms:
             assert fn3.element(coords).norm() == pytest.approx(
                 conj3.element(coords).norm(), rel=1e-10
             )
+
+
+def svd_norms(alg, X):
+    return np.linalg.norm(alg.materialize(X), 2, axis=(-2, -1))
+
+
+def rotated(points, seed=5):
+    return conjugate_algebra(
+        build_function_algebra(points), random_unitary(2 * points, np.random.default_rng(seed))
+    )
+
+
+def doubled(alg):
+    """alg tensor I_2: every joint eigenspace has multiplicity 2."""
+    eye = np.eye(2)
+    return KreinAlgebra(
+        np.stack([np.kron(b, eye) for b in alg.basis]),
+        np.kron(alg.symmetry_unitary, eye),
+        odd_generator=alg.odd_generator_coords,
+    )
+
+
+def kernel_quotient(alg):
+    return quotient_by_ideal(alg, character_kernel_ideal(alg, even_characters(alg)[0]))
+
+
+class TestNormFrame:
+    """op_norm reads the cached frame's diagonals and falls back to a dense
+    SVD on rows its bound beta does not certify."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: r.getfixturevalue("fn3"),
+            lambda r: r.getfixturevalue("conj3"),
+            lambda r: r.getfixturevalue("mixed_function_algebra")(4, 4)[0],
+            lambda r: r.getfixturevalue("mixed_function_algebra")(4, 6)[0],
+            lambda r: doubled(rotated(3)),
+            lambda r: kernel_quotient(r.getfixturevalue("conj3")),
+        ],
+        ids=["fn3", "conj3", "mixed-cond1e4", "mixed-cond1e6", "rotated3-x-I2", "kernel-quotient"],
+    )
+    def test_matches_dense_svd(self, request, make):
+        alg = make(request)
+        X = np.random.default_rng(21).standard_normal((40, alg.dim, 2)) @ [1.0, 1j]
+        want = svd_norms(alg, X)
+        assert np.max(np.abs(alg.op_norm(X) - want) / want) <= 1e-13
+        assert alg.op_norm(X[0]) == pytest.approx(want[0], rel=1e-13)
+        # both sides of the unit and of products x^dag x round at the scale
+        # sum_j |c_j| ||B_j||, up to 1e5 times the norm in the cond-1e6 frame
+        P = np.vstack([alg.unit_coords, alg.mul_coords(np.conj(X) @ alg.dagger_coord.T, X)])
+        scale = np.abs(P) @ np.linalg.norm(alg.basis, 2, axis=(1, 2))
+        assert np.max(np.abs(alg.op_norm(P) - svd_norms(alg, P)) / scale) <= 1e-13
+        assert not alg._frame_diagonal(X)[1].any()
+
+    def test_no_row_goes_dense_on_rotated_n8(self, monkeypatch):
+        alg = rotated(8)
+        alg.op_norm(alg.unit_coords)  # build the frame, which materializes two elements
+
+        def refuse(*args):
+            raise AssertionError("a norm row went dense")
+
+        monkeypatch.setattr(alg, "materialize", refuse)
+        assert check_cstar_identity(alg).passed
+        assert all(r.passed for r in check_bimodule_axioms(alg))
+        verdict = check_odd_symmetry(alg)
+        assert verdict.exists and verdict.isometric
+        assert verify_spectral_theorem(alg, samples=20).passed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corrected_frame_keeps_beta_at_roundoff(self, seed):
+        # eigh of one element alone leaves beta at 8.6e-14 to 1.0e-12 of ||x||
+        # on these frames, up to the 1e-12 cut of the default tol
+        alg = rotated(16, seed)
+        X = np.random.default_rng(3).standard_normal((50, alg.dim, 2)) @ [1.0, 1j]
+        diag, gram = alg._frame
+        beta = np.sqrt(np.abs(np.sum((X @ gram) * np.conj(X), axis=-1)))
+        assert np.max(beta / svd_norms(alg, X)) <= 4e-14
+
+    def test_noncommutative_rows_all_go_dense(self, m2_algebra):
+        X = np.random.default_rng(22).standard_normal((30, 4, 2)) @ [1.0, 1j]
+        assert m2_algebra._frame_diagonal(X)[1].all()
+        assert np.array_equal(m2_algebra.op_norm(X), svd_norms(m2_algebra, X))
+
+    @pytest.mark.parametrize("graded", [False, True], ids=["conj3", "m2-graded"])
+    def test_bimodule_positivity_matches_eigvalsh(self, conj3, m2_algebra, graded):
+        # M_2 graded by diag(1, -1) is noncommutative, with odd part span{E12, E21};
+        # the negated structure makes every <x|x> negative, as in MUTANTS
+        alg = KreinAlgebra(m2_algebra.basis, np.diag([1.0, -1.0])) if graded else conj3
+        mutant = copy.copy(alg)
+        mutant.structure = -alg.structure
+        samples, seed = 20, 13
+        X = _random_coords(np.random.default_rng(seed), samples, alg.odd_basis.shape[1])
+        X = X @ alg.odd_basis.T
+        right = alg.materialize(mutant.mul_coords(np.conj(X) @ alg.dagger_coord.T, X))
+        ev = np.linalg.eigvalsh((right + right.conj().transpose(0, 2, 1)) / 2.0)
+        want = abs(np.min(ev[:, 0] / np.maximum(1.0, ev[:, -1])))
+        results = check_bimodule_axioms(mutant, samples=samples, seed=seed)
+        got = next(r for r in results if r.name == "bimodule_positivity")
+        assert not got.passed and got.max_residual == pytest.approx(want, rel=1e-12)
+        assert all(r.passed for r in check_bimodule_axioms(alg, samples=samples, seed=seed))
+
+    def test_frame_reads_only_the_basis(self, conj3):
+        blind = copy.copy(conj3)
+        blind.__dict__.pop("_frame", None)
+        for attr in ("structure", "dagger_coord", "alpha_coord", "star_coord", "unit_coords"):
+            setattr(blind, attr, None)
+        diag, gram = blind._frame
+        assert diag.shape == (conj3.dim, conj3.ambient_dim)
+        assert gram.shape == (conj3.dim, conj3.dim)
 
 
 class TestInnerProducts:
