@@ -22,9 +22,11 @@ bytes and flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -84,6 +86,8 @@ class RunConfig:
             raise ValueError("tol must be a positive finite number")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.command in ("verify", "spectrum") and self.input_path is None:
             raise ValueError(f"{self.command} requires an input file")
         if self.command == "gen" and self.output_path is None:
@@ -130,6 +134,30 @@ def _float_rows(rows, level: int) -> str | None:
     return None if "n" in text else text  # "nan" and "inf" take the general path
 
 
+def _record_rows(rows, level: int) -> str | None:
+    """The text of a list of dicts with one set of string keys whose values are
+    equal-length lists of finite floats (such as a character's
+    {"a": [re, im], "b": [re, im]} records) from one %r template per record;
+    None for any other list."""
+    first = rows[0]
+    if type(first) is not dict or not first or set(map(type, first)) != {str}:
+        return None
+    if set(map(type, rows)) != {dict} or len(set(map(frozenset, rows))) != 1:
+        return None
+    keys = sorted(first)
+    values = [r[k] for r in rows for k in keys]
+    if not set(map(type, values)) <= {list, tuple} or len(set(map(len, values))) != 1:
+        return None
+    leaves = tuple(chain.from_iterable(values))
+    if not leaves or set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
+        return None
+    nl1, nl2, nl3 = ("\n" + "  " * (level + i) for i in (1, 2, 3))
+    value = "[" + nl3 + ("," + nl3).join(["%r"] * len(values[0])) + nl2 + "]"
+    members = [_key_text(k).replace("%", "%%") + value for k in keys]
+    record = "{" + nl2 + ("," + nl2).join(members) + nl1 + "}"
+    return ("[" + nl1 + ("," + nl1).join([record] * len(rows)) + nl1[:-2] + "]") % leaves
+
+
 def _encode(o, level: int) -> str:
     """json.dumps(o, sort_keys=True, indent=2) for a value nested `level` deep;
     dict keys must be strings."""
@@ -148,7 +176,7 @@ def _encode(o, level: int) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        text = _float_rows(o, level)
+        text = _float_rows(o, level) or _record_rows(o, level)
         if text is not None:
             return text
         nl = "\n" + "  " * (level + 1)
@@ -197,9 +225,24 @@ def _dump_json(data: dict, path: Path | None) -> bool:
     return True
 
 
-def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
+@contextmanager
+def _gc_paused():
+    """Cyclic garbage collection off for a phase that builds or drops a large
+    JSON tree.  The tree's lists hold no cycles, so refcounting frees them,
+    and each collector pass would only walk them.  The caller's state is
+    restored on exit: a collector the caller disabled stays disabled."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        raw = json.loads(cfg.input_path.read_text(encoding="utf-8"))
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InstanceFormatError(f"cannot read input: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -208,7 +251,13 @@ def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
         raise InstanceFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return algebra_from_instance_dict(raw, tol=cfg.tol)
+
+
+def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
+    # the parsed tree lives only as the call's argument, so it is freed
+    # before the collector is switched back on
+    with _gc_paused():
+        return algebra_from_instance_dict(_read_json(cfg.input_path), tol=cfg.tol)
 
 
 def _print_checks(checks: list[CheckResult]) -> None:
@@ -323,14 +372,17 @@ def run_spectrum(cfg: RunConfig) -> int:
 
 def run_gen(cfg: RunConfig) -> int:
     """Write an instance file; identical seeds give identical bytes."""
-    if cfg.conjugate:
-        base = build_function_algebra(cfg.points, tol=cfg.tol)
-        rng = np.random.default_rng(cfg.seed)
-        Q = random_unitary(base.ambient_dim, rng)
-        data = algebra_to_instance_dict(conjugate_algebra(base, Q))
-    else:
-        data = function_algebra_instance(cfg.points)
-    if not _dump_json(data, cfg.output_path):
+    with _gc_paused():
+        if cfg.conjugate:
+            base = build_function_algebra(cfg.points, tol=cfg.tol)
+            rng = np.random.default_rng(cfg.seed)
+            Q = random_unitary(base.ambient_dim, rng)
+            data = algebra_to_instance_dict(conjugate_algebra(base, Q))
+        else:
+            data = function_algebra_instance(cfg.points)
+        written = _dump_json(data, cfg.output_path)
+        del data  # freed before the collector is back on
+    if not written:
         return EXIT_BAD_INPUT
     print(f"wrote {cfg.output_path}")
     return EXIT_OK

@@ -19,7 +19,11 @@ product is formed whole.  The pivot solve fits each product exactly on the
 pivots, so closure under products is certified off them, by Gaussian probe
 columns, in O(d^2 n^2 s) time for s = _PROBES.  ``dagger_coord``,
 ``alpha_coord`` and ``coords_of_matrix`` keep a full span-membership
-residual.  The checks compute with these; the one ambient cross-check is
+residual.  The unit solves a 2d x d random sketch of its (2d^2, d) system,
+u w_1 = w_1 and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson
+& Tropp, SIAM Rev. 53(2), 2011), in O(d^3); its backward error stays on the
+full system, and a sketched unit that fails it is solved again on the full
+system.  The checks compute with these; the one ambient cross-check is
 the operator norm of sampled products (and the spectrum of their Hermitian
 parts, for bimodule positivity).
 
@@ -37,11 +41,15 @@ row of a noncommutative algebra does.  The frame reads ``basis`` alone,
 never ``structure``, ``dagger_coord`` or ``alpha_coord``, so the ambient
 cross-check stays independent of the coordinate machinery it checks.
 
-Instance files store complex entries as [re, im] pairs.  They are read by
-checking the nesting and leaf types once, then converting with one array
-call that also rejects non-finite numbers, and written from one stacked
-array; the field path of a malformed entry is formatted only when it is
-reported.
+Instance files store complex entries as [re, im] pairs.  A matrix is read
+by checking the types and lengths of its rows, pairs and leaves in C-level
+passes, then converting its leaves with one ``np.fromiter`` and rejecting
+NaN, infinite and out-of-range numbers, and written from one stacked array;
+only a malformed matrix is walked row by row, to name its first offender.
+The CLI parses and builds these JSON trees with the cyclic garbage
+collector paused: they hold no reference cycles, so refcounting frees them,
+and a collector pass over their (at N = 64, millions of) lists would find
+nothing to collect.
 
 The odd part of a commutative instance carries two Hilbert bimodule inner
 products over the even part, and an optional odd generator e (e^2 = unit,
@@ -199,6 +207,15 @@ def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return _rel((lhs - rhs).T, lhs.T)
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a complex array; AlgebraValidationError naming the argument
+    if an entry is NaN or infinite, which no residual test below could catch."""
+    arr = np.asarray(values, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise AlgebraValidationError(f"{name} has non-finite entries")
+    return arr
+
+
 def _interpolation_entries(frame: np.ndarray) -> np.ndarray:
     """One row index per column of ``frame`` (m x d, orthonormal columns): the
     largest entry of that column's residual after interpolating it at the rows
@@ -315,7 +332,9 @@ class KreinAlgebra:
 
     Construction costs O(d^3 n + d^2 n^2 s) time for s = _PROBES, plus
     O(d^2 n^2) for one QR factorisation of the vectorized basis and the
-    choice of the pivot entries.  ``product_closure``
+    choice of the pivot entries, plus the unit: an O(d^3) sketch solve and
+    one O(d^4) Gram GEMM for its backward error (see ``_resolve_unit``).
+    ``product_closure``
     is the worst ||E_ij V|| / max(1, ||B_i B_j V||) for the closure defects
     E_ij of the basis products and seeded Gaussian probes V.  A nonzero
     defect survives the probes almost surely; ||E_ij V||^2 estimates
@@ -334,12 +353,12 @@ class KreinAlgebra:
     ):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be a positive finite number, got {tol}")
-        B = np.asarray(basis, dtype=complex)
+        B = _finite("basis", basis)
         if B.ndim != 3 or B.shape[0] < 1 or B.shape[1] != B.shape[2]:
             raise AlgebraValidationError(
                 f"basis must have shape (d, n, n), got {B.shape}"
             )
-        U = np.asarray(symmetry_unitary, dtype=complex)
+        U = _finite("symmetry_unitary", symmetry_unitary)
         n = B.shape[1]
         if U.shape != (n, n):
             raise AlgebraValidationError(
@@ -362,7 +381,7 @@ class KreinAlgebra:
         # singular value (there are only min(d, n^2) of them) would say
         indep = float(sv[-1] / sv[0]) if d <= n * n and sv[0] > 0 else 0.0
         self.validation_residuals["basis_independence"] = indep
-        if indep <= tol:
+        if not indep > tol:
             raise AlgebraValidationError("basis is not linearly independent")
         # interpolative decomposition: d entries (p_t, q_t), chosen on the span's
         # orthonormal frame, fix the coordinates of any span member through the
@@ -373,11 +392,11 @@ class KreinAlgebra:
 
         r_unitary = float(np.linalg.norm(U.conj().T @ U - np.eye(n), 2))
         self.validation_residuals["symmetry_unitarity"] = r_unitary
-        if r_unitary > tol:
+        if not r_unitary <= tol:
             raise AlgebraValidationError("symmetry_unitary not unitary")
         r_invol = float(np.linalg.norm(U @ U - np.eye(n), 2))
         self.validation_residuals["symmetry_involution"] = r_invol
-        if r_invol > tol:
+        if not r_invol <= tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
 
         # seeds the closure probes and the norm frame: a function of the input alone
@@ -387,19 +406,19 @@ class KreinAlgebra:
         self.structure = self._pivot_structure()
         r_prod = self._closure_residual()
         self.validation_residuals["product_closure"] = r_prod
-        if r_prod > tol:
+        if not r_prod <= tol:
             raise AlgebraValidationError("basis span is not closed under multiplication")
 
         adjoints, r_adj = self._batch_coords(B.conj().transpose(0, 2, 1))
         self.dagger_coord = adjoints.T  # columns: image coords of basis vectors
         self.validation_residuals["adjoint_closure"] = r_adj
-        if r_adj > tol:
+        if not r_adj <= tol:
             raise AlgebraValidationError("basis span is not closed under adjoints")
 
         images, r_alpha = self._batch_coords(U @ B @ U)
         self.alpha_coord = images.T
         self.validation_residuals["alpha_closure"] = r_alpha
-        if r_alpha > tol:
+        if not r_alpha <= tol:
             raise AlgebraValidationError("symmetry does not preserve the basis span")
 
         # Krein involution x* = alpha(x^dag); coordinate matrices compose left to right
@@ -407,7 +426,7 @@ class KreinAlgebra:
 
         self.unit_coords, r_unit = self._resolve_unit(unit_coords)
         self.validation_residuals["unit"] = r_unit
-        if r_unit > tol:
+        if not r_unit <= tol:
             raise AlgebraValidationError("algebra has no multiplicative unit in the span")
 
         # grading projections and orthonormal coordinate bases of the two parts
@@ -423,7 +442,7 @@ class KreinAlgebra:
         if odd_generator is None:
             self.odd_generator_coords = None
         else:
-            e = np.asarray(odd_generator, dtype=complex).reshape(-1)
+            e = _finite("odd_generator", odd_generator).reshape(-1)
             if e.shape != (d,):
                 raise AlgebraValidationError(
                     f"odd_generator needs {d} coordinates, got {e.shape}"
@@ -476,30 +495,54 @@ class KreinAlgebra:
             worst = max(worst, _rel(defect, prods))
         return worst
 
+    def _sketched_unit(self) -> np.ndarray:
+        """Least-squares solution of the 2d x d sketch u w_1 = w_1, w_2 u = w_2
+        of the unit's system, for complex Gaussian w_1, w_2 seeded from the
+        basis (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011).  A generic
+        element of a unital algebra is invertible, so the unit is the sketch's
+        only solution.  O(d^3)."""
+        S, d = self.structure, self.dim
+        w = _random_coords(np.random.default_rng([self._seed, 1]), 2, d)
+        # (c w_1)_k = sum_j c_j (w_1 @ S)[j, k], (w_2 c)_k = sum_j c_j (w_2 @ S_flat)[j, k]
+        sketch = np.concatenate([(w[0] @ S).T, (w[1] @ S.reshape(d, d * d)).reshape(d, d).T])
+        return np.linalg.lstsq(sketch, w.reshape(-1), rcond=None)[0]
+
     def _resolve_unit(self, unit_coords) -> tuple[np.ndarray, float]:
-        d = self.dim
-        eye = np.eye(d)
-        # mul(c, e_i)_k = sum_j c_j structure[j, i, k]
-        lmat = self.structure.transpose(1, 2, 0).reshape(d * d, d)
-        # mul(e_i, c)_k = sum_j c_j structure[i, j, k]
-        rmat = self.structure.transpose(0, 2, 1).reshape(d * d, d)
-        sys_mat = np.vstack([lmat, rmat])
-        rhs = np.concatenate([eye.reshape(d * d), eye.reshape(d * d)])
-        if unit_coords is None:
-            sol, *_ = np.linalg.lstsq(sys_mat, rhs, rcond=None)
-        else:
-            sol = np.asarray(unit_coords, dtype=complex).reshape(-1)
+        """The unit's coordinates, given or solved for, and their normwise
+        backward error on the full (2d^2, d) system u B_i = B_i u = B_i.
+
+        The solve is ``_sketched_unit``; a sketched unit that fails tol is
+        replaced by lstsq on the full system, O(d^4), so the sketch never
+        rejects an instance the full solve accepts.  The error's ||A||_2 comes
+        from eigvalsh of the d x d Gram matrix A^H A, one O(d^4) GEMM."""
+        S, d = self.structure, self.dim
+        # row j of F and of T: column j of the full system's left and right halves,
+        # so c @ F and c @ T give the coordinates of every c B_i and B_i c
+        F = S.reshape(d, d * d)
+        T = S.transpose(1, 0, 2).reshape(d, d * d)
+        rhs = np.tile(np.eye(d).reshape(-1), 2)
+        norm_a = math.sqrt(max(np.linalg.eigvalsh(F @ F.conj().T + T @ T.conj().T)[-1], 0.0))
+
+        def backward_error(c: np.ndarray) -> float:
+            # ||A x - b|| / (||A|| ||x|| + ||b||) (Higham, Accuracy and Stability of
+            # Numerical Algorithms, 2nd ed., Thm 7.1): the absolute residual grows
+            # like cond^2 of a change of basis, this does not
+            gap = np.concatenate([c @ F, c @ T]) - rhs
+            return float(np.linalg.norm(gap) / (norm_a * np.linalg.norm(c) + np.linalg.norm(rhs)))
+
+        if unit_coords is not None:
+            sol = _finite("unit_coords", unit_coords).reshape(-1)
             if sol.shape != (d,):
                 raise AlgebraValidationError(
                     f"unit_coords needs {d} coordinates, got {sol.shape}"
                 )
-        # normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) (Higham,
-        # Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 7.1): the
-        # absolute residual grows like cond^2 of a change of basis, this does not
-        resid = np.linalg.norm(sys_mat @ sol - rhs) / (
-            np.linalg.norm(sys_mat, 2) * np.linalg.norm(sol) + np.linalg.norm(rhs)
-        )
-        return sol, float(resid)
+            return sol, backward_error(sol)
+        sol = self._sketched_unit()
+        resid = backward_error(sol)
+        if not resid <= self.tol:
+            sol = np.linalg.lstsq(np.concatenate([F, T], axis=1).T, rhs, rcond=None)[0]
+            resid = backward_error(sol)
+        return sol, resid
 
     def materialize(self, coords) -> np.ndarray:
         """Ambient matrix of coordinates (..., d); a stack gives a stack."""
@@ -509,7 +552,7 @@ class KreinAlgebra:
         """Coordinates of an ambient matrix, raising SpanError off the span."""
         tol = self.tol if tol is None else tol
         coords, resid = self._batch_coords(np.asarray(mat, dtype=complex))
-        if resid > tol:
+        if not resid <= tol:
             raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
         return coords
 
@@ -580,11 +623,13 @@ class KreinAlgebra:
         is the norm up to the certified bound beta(c) = sqrt(Re c G c^*) >=
         the off-diagonal part's ||.||_2; a row with beta(c) > 1e-3 tol ||x||
         takes a dense SVD instead, so every returned norm is within 1e-3 tol
-        relative of the SVD's, plus roundoff."""
+        relative of the SVD's, plus roundoff.  A row with a NaN or infinite
+        coordinate reads NaN or inf: the SVD cannot take it."""
         c = np.asarray(coords, dtype=complex)
         rows = c.reshape(-1, self.dim)
         vals, dense = self._frame_diagonal(rows)
         norms = np.max(np.abs(vals), axis=-1)
+        dense &= np.isfinite(norms)
         if dense.any():
             norms[dense] = np.linalg.norm(self.materialize(rows[dense]), 2, axis=(-2, -1))
         return norms.reshape(c.shape[:-1])[()]
@@ -671,7 +716,7 @@ def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) 
     n = algebra.ambient_dim
     if Q.shape != (n, n):
         raise AlgebraValidationError(f"conjugating unitary must be {n} x {n}")
-    if np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) > (tol or algebra.tol):
+    if not np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= (tol or algebra.tol):
         raise AlgebraValidationError("conjugating matrix is not unitary")
     new_basis = Q @ algebra.basis @ Q.conj().T
     new_sym = Q @ algebra.symmetry_unitary @ Q.conj().T
@@ -794,42 +839,35 @@ def check_odd_symmetry(
     e = algebra.odd_generator_coords
     if e is None:
         return OddSymmetryVerdict(None, None, 0.0, ("odd generator absent",))
-    failures: list[str] = []
-    resid = 0.0
     eps = _left_mul(algebra, e)  # eps(x) = e x
-
     scale = max(1.0, float(np.linalg.norm(e)))
-    r = float(np.linalg.norm(algebra.even_projection(e))) / scale
-    resid = max(resid, r)
-    if r > tol:
-        failures.append("generator is not odd")
-
-    r = float(np.linalg.norm(eps @ e - algebra.unit_coords)) / scale**2
-    resid = max(resid, r)
-    if r > tol:
-        failures.append("generator squared is not the unit")
-
-    r = float(np.linalg.norm(algebra.star_coord @ np.conj(e) + e)) / scale
-    resid = max(resid, r)
-    if r > tol:
-        failures.append("generator is not Krein anti-selfadjoint")
-
-    # eps(alpha(x)) = -alpha(eps(x)) on every basis vector
     alpha = algebra.alpha_coord
-    r = float(np.max(np.linalg.norm(eps @ alpha + alpha @ eps, axis=0))) / scale
-    resid = max(resid, r)
-    if r > tol:
-        failures.append("odd symmetry does not anticommute with alpha")
-
-    exists = not failures
+    # (residual, failure message); a NaN residual fails like a large one
+    tests = [
+        (float(np.linalg.norm(algebra.even_projection(e))) / scale, "generator is not odd"),
+        (
+            float(np.linalg.norm(eps @ e - algebra.unit_coords)) / scale**2,
+            "generator squared is not the unit",
+        ),
+        (
+            float(np.linalg.norm(algebra.star_coord @ np.conj(e) + e)) / scale,
+            "generator is not Krein anti-selfadjoint",
+        ),
+        # eps(alpha(x)) = -alpha(eps(x)) on every basis vector
+        (
+            float(np.max(np.linalg.norm(eps @ alpha + alpha @ eps, axis=0))) / scale,
+            "odd symmetry does not anticommute with alpha",
+        ),
+    ]
+    failures = tuple(message for r, message in tests if not r <= tol)
 
     X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
     nx = algebra.op_norm(X)
     iso_resid = _worst(np.abs(algebra.op_norm(X @ eps.T) - nx), nx)
-    resid = max(resid, iso_resid)
+    resid = float(np.max([r for r, _ in tests] + [iso_resid]))
     isometric = iso_resid <= max(tol, 1e-12)
 
-    return OddSymmetryVerdict(exists, isometric, resid, tuple(failures))
+    return OddSymmetryVerdict(not failures, isometric, resid, failures)
 
 
 # -- sampled identity checks ---------------------------------------------------
@@ -989,17 +1027,17 @@ def quotient_with_map(
         left = np.einsum("ri,ijk->rjk", ortho, algebra.structure)   # ideal * basis_j
         right = np.einsum("rj,ijk->rik", ortho, algebra.structure)  # basis_i * ideal
         r_ideal = max(outside(left.reshape(-1, d)), outside(right.reshape(-1, d)))
-        if r_ideal > tol:
+        if not r_ideal <= tol:
             raise NotAnIdealError(
                 f"subspace is not a two-sided ideal (residual {r_ideal:.3e})"
             )
         r_alpha = outside((algebra.alpha_coord @ ortho.T).T)
-        if r_alpha > tol:
+        if not r_alpha <= tol:
             raise NotAlphaInvariantError(
                 f"ideal is not alpha-invariant (residual {r_alpha:.3e})"
             )
         r_star = outside((algebra.dagger_coord @ np.conj(ortho).T).T)
-        if r_star > tol:
+        if not r_star <= tol:
             raise NotAnIdealError(
                 f"ideal is not closed under the adjoint (residual {r_star:.3e})"
             )
@@ -1023,7 +1061,7 @@ def quotient_with_map(
 
     # coordinate map: old basis vector i -> coords of W^dag B_i W in the new basis
     coords, resid = quot._batch_coords(compressed)
-    if resid > tol:
+    if not resid <= tol:
         raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
     cmap = coords.T
     if algebra.odd_generator_coords is not None:
@@ -1069,22 +1107,22 @@ def _all_pairs(pairs: list) -> bool:
     )
 
 
-def _pairs_from_json(pairs, shape: tuple, field_path: str) -> np.ndarray:
-    """Complex array of checked [re, im] pairs, converted in one array pass; the
-    first pair holding a NaN, an infinity or an integer beyond the float range
-    (Python's json reads all three) is named in an InstanceFormatError."""
+def _pairs_from_json(pairs: list, shape: tuple, field_path: str) -> np.ndarray:
+    """Complex array of the given shape from checked [re, im] pairs, listed in
+    reading order, converted in one pass over the leaves; the first pair
+    holding a NaN, an infinity or an integer beyond the float range (Python's
+    json reads all three) is named in an InstanceFormatError."""
     with suppress(OverflowError):
-        arr = np.array(pairs, dtype=float)
+        arr = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
         if np.isfinite(arr).all():
-            return arr.reshape(shape + (2,)).view(complex)[..., 0]
-    leaves = np.array(pairs, dtype=object)  # Python numbers: a large integer stays exact
-    for i in np.ndindex(shape):
+            return arr.view(complex).reshape(shape)
+    for i, pair in enumerate(pairs):
         try:
-            finite = all(map(math.isfinite, leaves[i]))
+            finite = all(map(math.isfinite, pair))
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
-            path = field_path + "".join(f"[{j}]" for j in i)
+            path = field_path + "".join(f"[{j}]" for j in np.unravel_index(i, shape))
             raise InstanceFormatError("expected a [re, im] pair of finite numbers", path)
 
 
@@ -1093,15 +1131,22 @@ def _first_bad_pair(pairs: list) -> int:
 
 
 def _matrix_from_json(rows, field_path: str) -> np.ndarray:
+    """Complex matrix of a list of equal-length rows of [re, im] pairs.  The
+    rows and pairs of the whole matrix are checked in C-level passes; only a
+    malformed matrix is walked row by row, to name its first offender."""
     if not isinstance(rows, list) or not rows:
         raise InstanceFormatError("expected a non-empty list of rows", field_path)
     m = len(rows[0]) if isinstance(rows[0], list) else 0
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise InstanceFormatError("rows must all have equal length", f"{field_path}[{i}]")
-        if not _all_pairs(row):
-            raise InstanceFormatError(_PAIR_MESSAGE, f"{field_path}[{i}][{_first_bad_pair(row)}]")
-    return _pairs_from_json(rows, (len(rows), m), field_path)
+    pairs = None
+    if all(issubclass(t, list) for t in set(map(type, rows))) and set(map(len, rows)) == {m}:
+        pairs = list(chain.from_iterable(rows))
+    if pairs is None or not _all_pairs(pairs):
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != m:
+                raise InstanceFormatError("rows must all have equal length", f"{field_path}[{i}]")
+            if not _all_pairs(row):
+                raise InstanceFormatError(_PAIR_MESSAGE, f"{field_path}[{i}][{_first_bad_pair(row)}]")
+    return _pairs_from_json(pairs, (len(rows), m), field_path)
 
 
 def _coords_from_json(vals, field_path: str) -> np.ndarray:

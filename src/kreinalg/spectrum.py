@@ -28,6 +28,7 @@ from .finite_krein import (
     GradedElement,
     KreinAlgebra,
     _left_mul,
+    _pairs_to_json,
     _products,
     _random_coords,
     _rel,
@@ -178,7 +179,25 @@ class Character:
         return vh[rank:].conj().T
 
     def to_json_list(self) -> list:
-        return [self.on_basis(i).to_json_dict() for i in range(self.algebra.dim)]
+        """``[w(B_i).to_json_dict() for each basis element B_i]``, built from the
+        value arrays without a KElem per entry."""
+        a, b = _pairs_to_json(self.a_values), _pairs_to_json(self.b_values)
+        return [{"a": x, "b": y} for x, y in zip(a, b)]
+
+
+def _extend(algebra: KreinAlgebra, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a- and b-values (rows) of the extensions of the even characters whose
+    values on the even basis are the rows of ``values``: e times the odd part
+    and the grading projections are formed once for all of them."""
+    if algebra.odd_generator_coords is None:
+        raise MissingOddGeneratorError(
+            "algebra has no odd generator; even characters cannot be extended"
+        )
+    eye, alpha = np.eye(algebra.dim), algebra.alpha_coord
+    eps = _left_mul(algebra, algebra.odd_generator_coords)
+    # omega on full coordinates, applied to the even part and to e times the odd part
+    phi = values @ algebra.even_basis.conj().T
+    return phi @ (eye + alpha) / 2.0, phi @ eps @ (eye - alpha) / 2.0
 
 
 def extend_character(algebra: KreinAlgebra, omega: EvenCharacter) -> Character:
@@ -188,16 +207,7 @@ def extend_character(algebra: KreinAlgebra, omega: EvenCharacter) -> Character:
     even-part value on the even component plus the swapped value on e times
     the odd component.
     """
-    if algebra.odd_generator_coords is None:
-        raise MissingOddGeneratorError(
-            "algebra has no odd generator; even characters cannot be extended"
-        )
-    eye, alpha = np.eye(algebra.dim), algebra.alpha_coord
-    eps = _left_mul(algebra, algebra.odd_generator_coords)
-    # omega on full coordinates, applied to the even part and to e times the odd part
-    phi = omega.values @ algebra.even_basis.conj().T
-    a_vals = phi @ (eye + alpha) / 2.0
-    b_vals = phi @ eps @ (eye - alpha) / 2.0
+    a_vals, b_vals = _extend(algebra, omega.values)
     return Character(algebra, a_vals, b_vals)
 
 
@@ -268,11 +278,13 @@ class SpectrumClass:
 def spectrum_classes(
     algebra: KreinAlgebra, seed: int = 7, tol: float = CHARACTER_TOL
 ) -> list[SpectrumClass]:
-    """All character classes, ordered by the even-part value tuples."""
+    """All character classes, ordered by the even-part value tuples; every
+    even character is extended by one product (see ``extend_character``)."""
     omegas = even_characters(algebra, seed=seed, tol=tol)
+    A, B = _extend(algebra, np.array([om.values for om in omegas]))
     classes = []
-    for om in omegas:
-        w = extend_character(algebra, om)
+    for a_vals, b_vals in zip(A, B):
+        w = Character(algebra, a_vals, b_vals)
         classes.append(SpectrumClass(even_rep=w, partner=w.gamma_composed()))
     return classes
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, report files, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -275,6 +276,22 @@ class TestBadArgumentsAndFiles:
         assert main([command, "--input", str(good_instance), "--tol", tol]) == 2
         assert "tol must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--input", "{good}"],
+            ["spectrum", "--input", "{good}"],
+            ["gen", "--points", "2", "--conjugate", "--out", "{out}"],
+            ["counterexample", "--grid", "2"],
+        ],
+        ids=["verify", "spectrum", "gen", "counterexample"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, good_instance, capsys, argv):
+        paths = {"good": good_instance, "out": tmp_path / "out.json"}
+        assert main([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 2
+        assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
         inst = tmp_path / "latin1.json"
@@ -305,6 +322,64 @@ class TestBadArgumentsAndFiles:
         assert not target.parent.exists()
 
 
+class TestGcPause:
+    """The bulk-JSON phases run with the cyclic collector off and leave the
+    caller's collector state as they found it, on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def caller_gc(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (None, None),
+            ("{not json", kreinalg.InstanceFormatError),
+            ('{"kind": "mystery"}', kreinalg.InstanceFormatError),
+            ("bent", kreinalg.AlgebraValidationError),
+        ],
+        ids=["ok", "bad-json", "format-error", "validation-error"],
+    )
+    def test_load_restores_the_caller_state(self, tmp_path, monkeypatch, caller_gc, text, error):
+        inst = tmp_path / "inst.json"
+        if text == "bent":
+            write_instance(inst, lambda blob: blob["symmetry_unitary"][0].__setitem__(0, [2.0, 0.0]))
+        elif text is None:
+            write_instance(inst)
+        else:
+            inst.write_text(text)
+        seen = []
+        build = cli.algebra_from_instance_dict
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "algebra_from_instance_dict", spy)
+        cfg = cli.RunConfig("verify", input_path=inst)
+        if error is None:
+            cli._load_algebra(cfg)
+        else:
+            with pytest.raises(error):
+                cli._load_algebra(cfg)
+        assert gc.isenabled() is caller_gc
+        assert seen == ([] if text == "{not json" else [False])
+
+    @pytest.mark.parametrize("writable", [True, False], ids=["ok", "unwritable"])
+    def test_gen_restores_the_caller_state(self, tmp_path, monkeypatch, caller_gc, writable):
+        out = tmp_path / ("out.json" if writable else "missing/out.json")
+        seen = []
+        dump = cli._dump_json
+        monkeypatch.setattr(cli, "_dump_json", lambda *a: seen.append(gc.isenabled()) or dump(*a))
+        code = main(["gen", "--points", "2", "--conjugate", "--out", str(out)])
+        assert code == (0 if writable else 2)
+        assert gc.isenabled() is caller_gc
+        assert seen == [False]
+
+
 class TestParser:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -319,16 +394,34 @@ class TestParser:
 
 # JSON values of the shapes the CLI writes, and the edge cases of json.dumps:
 # empty containers, tuples, NaN, infinities, -0.0, non-ASCII strings, ragged
-# rows, rows mixing ints and floats, and equal-length float rows (the
-# writer's fast path) with and without non-finite entries.
+# rows, rows mixing ints and floats, equal-length float rows and uniform
+# records (the writer's two fast paths) with and without non-finite entries,
+# and records whose key sets or value lengths differ.
 _floats = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
 _float_rows = st.integers(1, 3).flatmap(
     lambda k: st.lists(st.lists(_floats, min_size=k, max_size=k), min_size=1, max_size=4)
 )
+_keys = st.text(max_size=3) | st.sampled_from(["a", "b", "%", "%r", "\u00e9"])
+
+
+def _uniform_records(keys, k):
+    value = st.lists(_floats, min_size=k, max_size=k)
+    return st.lists(st.fixed_dictionaries({key: value for key in keys}), min_size=1, max_size=4)
+
+
+_records = st.tuples(st.lists(_keys, min_size=1, max_size=3, unique=True), st.integers(0, 3)).flatmap(
+    lambda spec: _uniform_records(*spec)
+)
+_float_list = st.lists(_floats, max_size=3)
+_loose_records = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b"]), _float_list | _float_list.map(tuple)),
+    min_size=1,
+    max_size=4,
+)
 _scalars = st.none() | st.booleans() | st.integers() | _floats | st.text()
 _rows = st.lists(st.lists(st.integers() | st.floats(allow_nan=False), max_size=3), max_size=4)
 _json_values = st.recursive(
-    _scalars | _float_rows | _rows,
+    _scalars | _float_rows | _records | _loose_records | _rows,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4),
@@ -342,6 +435,18 @@ class TestJsonWriter:
         expected = json.dumps(data, sort_keys=True, indent=2)
         assert cli._encode(data, 0) == expected
         assert "".join(cli._pieces(data)) == expected
+
+    def test_uniform_records_take_the_template(self):
+        records = [{"b": [0.5, -0.0], "a%": [1e-300, 2.0]}, {"a%": [3.0, -4.5], "b": [1.0, 0.1]}]
+        text = cli._record_rows(records, 2)
+        assert text == json.dumps(records, sort_keys=True, indent=2).replace("\n", "\n    ")
+        for bent in (
+            [records[0], {"a%": [3.0, -4.5]}],                    # key sets differ
+            [records[0], {"a%": [3.0], "b": [1.0, 0.1]}],         # lengths differ
+            [records[0], {"a%": [3.0, math.nan], "b": [1.0, 0.1]}],  # not finite
+            [records[0], {"a%": [3.0, 1], "b": [1.0, 0.1]}],      # an int leaf
+        ):
+            assert cli._record_rows(bent, 2) is None
 
     def test_no_path_formats_nothing(self, good_instance, monkeypatch):
         def refuse(*args):

@@ -5,6 +5,7 @@ the rank-one module, which is itself oracle-tested separately.
 """
 
 import copy
+import json
 import math
 import tracemalloc
 
@@ -42,7 +43,7 @@ from kreinalg import (
     random_unitary,
     verify_spectral_theorem,
 )
-from kreinalg.finite_krein import _random_coords
+from kreinalg.finite_krein import _matrix_from_json, _random_coords
 
 
 def block_values(algebra, x):
@@ -234,6 +235,64 @@ class TestConstruction:
         alg = KreinAlgebra(basis, np.eye(2))
         assert np.allclose(alg.unit_coords, [1.0])
         assert np.allclose(alg.unit.matrix(), basis[0])
+
+    @staticmethod
+    def full_unit_lstsq(alg):
+        """lstsq on the unit's full (2d^2, d) system u B_i = B_i u = B_i."""
+        S, d = alg.structure, alg.dim
+        system = np.concatenate(
+            [S.transpose(1, 2, 0).reshape(d * d, d), S.transpose(0, 2, 1).reshape(d * d, d)]
+        )
+        return np.linalg.lstsq(system, np.tile(np.eye(d).reshape(-1), 2), rcond=None)[0]
+
+    @pytest.mark.parametrize("name", ["fn3", "conj3", "corner"])
+    def test_sketched_unit_equals_full_lstsq(self, name, request):
+        if name == "corner":
+            basis = np.zeros((1, 2, 2), dtype=complex)
+            basis[0, 0, 0] = 1.0
+            alg = KreinAlgebra(basis, np.eye(2))
+        else:
+            given = request.getfixturevalue(name)
+            alg = KreinAlgebra(given.basis, given.symmetry_unitary)  # unit solved for
+        full = self.full_unit_lstsq(alg)
+        assert np.linalg.norm(alg.unit_coords - full) <= 1e-13 * np.linalg.norm(full)
+        assert alg.validation_residuals["unit"] <= 1e-14
+
+    @pytest.mark.parametrize("cond_exp", [4, 6], ids=["cond1e4", "cond1e6"])
+    @pytest.mark.parametrize("points", [2, 4, 8])
+    def test_sketched_unit_as_accurate_as_full_lstsq_in_mixed_frames(
+        self, points, cond_exp, mixed_function_algebra
+    ):
+        # both solve the same computed structure tensor, whose own error grows
+        # with the frame's conditioning: they differ from the exact unit, and
+        # from each other, by up to 4e-6 at cond 1e6, so neither is the reference
+        alg, to_mixed = mixed_function_algebra(points, cond_exp)
+        exact = to_mixed @ build_function_algebra(points).unit_coords
+        err_full = np.linalg.norm(self.full_unit_lstsq(alg) - exact)
+        err_sketch = np.linalg.norm(alg.unit_coords - exact)
+        assert err_sketch <= 4 * err_full + 1e-13 * np.linalg.norm(exact)
+        assert alg.validation_residuals["unit"] <= 1e-14
+
+    def test_failed_sketch_falls_back_to_the_full_solve(self, monkeypatch):
+        base = build_function_algebra(3)
+        monkeypatch.setattr(KreinAlgebra, "_sketched_unit", lambda self: np.zeros(self.dim))
+        alg = KreinAlgebra(base.basis, base.symmetry_unitary)
+        np.testing.assert_allclose(alg.unit_coords, base.unit_coords, rtol=0, atol=1e-14)
+        assert alg.validation_residuals["unit"] <= 1e-15
+
+    @pytest.mark.parametrize("argument", ["basis", "symmetry_unitary", "unit_coords", "odd_generator"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_arguments(self, argument, value):
+        base = build_function_algebra(2)
+        args = {
+            "basis": base.basis.copy(),
+            "symmetry_unitary": base.symmetry_unitary.copy(),
+            "unit_coords": base.unit_coords.copy(),
+            "odd_generator": base.odd_generator_coords.copy(),
+        }
+        args[argument].reshape(-1)[1] = value
+        with pytest.raises(AlgebraValidationError, match=f"^{argument} has non-finite entries$"):
+            KreinAlgebra(args.pop("basis"), args.pop("symmetry_unitary"), **args)
 
     def test_trivial_grading_has_no_odd_part(self, m2_algebra):
         assert m2_algebra.even_basis.shape[1] == 4
@@ -506,6 +565,18 @@ class TestVerdicts:
         assert verdict.exists is False
         assert any("unit" in f for f in verdict.failures)
 
+    def test_odd_symmetry_fails_a_nan_generator(self):
+        # construction rejects a non-finite generator; one set afterwards must
+        # fail every algebraic test (a NaN residual is not within tol) and the
+        # isometry, not end in an SVD error
+        alg = build_function_algebra(2)
+        alg = KreinAlgebra(alg.basis, alg.symmetry_unitary, unit_coords=alg.unit_coords)
+        alg.odd_generator_coords = np.full(alg.dim, math.nan + 0j)
+        verdict = check_odd_symmetry(alg, samples=10, seed=15)
+        assert verdict.exists is False and verdict.isometric is False
+        assert len(verdict.failures) == 4
+        assert math.isnan(verdict.max_residual)
+
 
 def noise(alg, seed=0):
     rng = np.random.default_rng(seed)
@@ -730,6 +801,16 @@ class TestSerialization:
             algebra_from_instance_dict(blob)
         assert err.value.field == field
         assert str(err.value) == f"{field}: {message}"
+
+    def test_matrix_decode_is_bitwise_the_nested_array_conversion(self):
+        base = build_function_algebra(8)
+        alg = conjugate_algebra(base, random_unitary(base.ambient_dim, np.random.default_rng(3)))
+        blob = json.loads(json.dumps(algebra_to_instance_dict(alg)))
+        for i, rows in enumerate(blob["basis"] + [blob["symmetry_unitary"]]):
+            # the conversion the decoder used before: one nested array call
+            ref = np.array(rows, dtype=float).view(complex)[..., 0]
+            got = _matrix_from_json(rows, f"basis[{i}]")
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_function_kind_rejects_zero_points(self):
         with pytest.raises(InstanceFormatError):

@@ -170,6 +170,29 @@ class TestExtension:
             assert np.allclose(cls.partner.a_values, cls.even_rep.a_values)
             assert np.allclose(cls.partner.b_values, -cls.even_rep.b_values)
 
+    @pytest.mark.parametrize("name", ["fn3", "conj3", "rotated8"])
+    def test_batched_classes_equal_extend_character(self, name, request):
+        if name == "rotated8":
+            base = build_function_algebra(8)
+            alg = conjugate_algebra(base, random_unitary(16, np.random.default_rng(3)))
+        else:
+            alg = request.getfixturevalue(name)
+        classes = spectrum_classes(alg)
+        omegas = even_characters(alg)
+        assert len(classes) == len(omegas)
+        for cls, om in zip(classes, omegas):
+            w = extend_character(alg, om)
+            np.testing.assert_allclose(cls.even_rep.a_values, w.a_values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(cls.even_rep.b_values, w.b_values, rtol=0, atol=1e-15)
+            assert np.array_equal(cls.partner.b_values, -cls.even_rep.b_values)
+
+    def test_json_list_matches_the_per_entry_form(self, conj3):
+        for cls in spectrum_classes(conj3):
+            for w in (cls.even_rep, cls.partner):
+                expected = [w.on_basis(i).to_json_dict() for i in range(conj3.dim)]
+                assert w.to_json_list() == expected
+                assert {type(v) for r in w.to_json_list() for p in r.values() for v in p} == {float}
+
     def test_partner_agrees_with_symmetry_composition(self, fn3):
         for cls in spectrum_classes(fn3):
             rng = np.random.default_rng(1)
