@@ -161,14 +161,10 @@ def _vec(mats: np.ndarray) -> np.ndarray:
 
 
 def _products(algebra: "KreinAlgebra", A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coordinates of every product a_p b_q of the coordinate columns of
-    A (d x p) and B (d x q), read off the structure tensor; shape (p, q, d)."""
-    return np.einsum("ip,jq,ijk->pqk", A, B, algebra.structure, optimize=True)
-
-
-def _commutators(algebra: "KreinAlgebra", A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coordinates of every commutator [a_p, b_q]; shape (p, q, d)."""
-    return _products(algebra, A, B) - _products(algebra, B, A).transpose(1, 0, 2)
+    """Coordinates of every product a_p b_q of the coordinate columns of A (d x p)
+    and B (d x q); shape (p, q, d).  B^T times the left multiplication matrices
+    of the a_p (the contraction ``mul_coords`` uses), as one batched GEMM."""
+    return B.T @ algebra._left_matrices(A.T)
 
 
 def _dag(algebra: "KreinAlgebra", cols: np.ndarray) -> np.ndarray:
@@ -205,6 +201,17 @@ def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
 def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """``_rel`` of two sides given as coordinate columns, relative to ``lhs``."""
     return _rel((lhs - rhs).T, lhs.T)
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Numerical rank from descending singular values: the count above tol * s[0]."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _positive_tol(tol) -> float:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    return float(tol)
 
 
 def _finite(name: str, values) -> np.ndarray:
@@ -351,8 +358,7 @@ class KreinAlgebra:
         odd_generator=None,
         tol: float = DEFAULT_TOL,
     ):
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tol must be a positive finite number, got {tol}")
+        tol = _positive_tol(tol)
         B = _finite("basis", basis)
         if B.ndim != 3 or B.shape[0] < 1 or B.shape[1] != B.shape[2]:
             raise AlgebraValidationError(
@@ -368,7 +374,7 @@ class KreinAlgebra:
         self.basis = B
         self.dim = int(B.shape[0])
         self.ambient_dim = n
-        self.tol = float(tol)
+        self.tol = tol
         self.symmetry_unitary = U
         self.validation_residuals: dict[str, float] = {}
 
@@ -556,15 +562,16 @@ class KreinAlgebra:
             raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
         return coords
 
-    def mul_coords(self, c1, c2) -> np.ndarray:
-        """Coordinates of c1 c2; stacked rows (..., d) multiply row by row.
+    def _left_matrices(self, rows) -> np.ndarray:
+        """Left multiplication matrices (..., d, d) of coordinate rows c (..., d),
+        [j, k] = coordinate k of c B_j: one GEMM against the structure tensor."""
+        rows, d = np.asarray(rows), self.dim
+        return (rows @ self.structure.reshape(d, d * d)).reshape(rows.shape[:-1] + (d, d))
 
-        One GEMM against the structure tensor read as a d x d^2 matrix gives
-        the left multiplication matrices of the rows of c1; each row of c2
-        then multiplies its own."""
-        c1, d = np.asarray(c1), self.dim
-        left = (c1 @ self.structure.reshape(d, d * d)).reshape(c1.shape[:-1] + (d, d))
-        return (np.asarray(c2)[..., None, :] @ left)[..., 0, :]
+    def mul_coords(self, c1, c2) -> np.ndarray:
+        """Coordinates of c1 c2; stacked rows (..., d) multiply row by row:
+        each row of c2 times the left multiplication matrix of its row of c1."""
+        return (np.asarray(c2)[..., None, :] @ self._left_matrices(c1))[..., 0, :]
 
     def even_projection(self, coords) -> np.ndarray:
         return (coords + coords @ self.alpha_coord.T) / 2.0
@@ -712,11 +719,12 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) -> KreinAlgebra:
     """Unitarily conjugated copy; coordinates keep their meaning."""
+    tol = _positive_tol(algebra.tol if tol is None else tol)
     Q = np.asarray(unitary, dtype=complex)
     n = algebra.ambient_dim
     if Q.shape != (n, n):
         raise AlgebraValidationError(f"conjugating unitary must be {n} x {n}")
-    if not np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= (tol or algebra.tol):
+    if not np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= tol:
         raise AlgebraValidationError("conjugating matrix is not unitary")
     new_basis = Q @ algebra.basis @ Q.conj().T
     new_sym = Q @ algebra.symmetry_unitary @ Q.conj().T
@@ -725,7 +733,7 @@ def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) 
         new_sym,
         unit_coords=algebra.unit_coords,
         odd_generator=algebra.odd_generator_coords,
-        tol=tol or algebra.tol,
+        tol=tol,
     )
 
 
@@ -762,20 +770,15 @@ def inner_products(algebra: KreinAlgebra, x, y, tol: float | None = None) -> tup
 def check_full(algebra: KreinAlgebra, tol: float = DEFAULT_TOL) -> bool:
     """Whether span{x^dag y : x, y odd} is all of the even part."""
     ob = algebra.odd_basis
-    k = ob.shape[1]
-    dim_even = algebra.even_basis.shape[1]
-    if k == 0:
-        return dim_even == 0
     # coordinates of all products dagger(x_i) y_j for the odd coordinate basis
-    prods = _products(algebra, _dag(algebra, ob), ob).reshape(k * k, -1)
-    sv = np.linalg.svd(prods, compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
-    return rank == dim_even
+    prods = _products(algebra, _dag(algebra, ob), ob).reshape(-1, algebra.dim)
+    return _rank(np.linalg.svd(prods, compute_uv=False), tol) == algebra.even_basis.shape[1]
 
 
 @dataclass(frozen=True)
 class CommutativeSymmetricVerdict:
-    """Joint verdict; the two flags are equivalent, so they must agree."""
+    """Joint verdict; the two conditions are equivalent (see
+    ``check_commutative_symmetric``), so flags and residuals come from one residual."""
 
     commutative: bool
     symmetric_bimodule: bool
@@ -786,24 +789,15 @@ class CommutativeSymmetricVerdict:
 def check_commutative_symmetric(
     algebra: KreinAlgebra, tol: float = DEFAULT_TOL
 ) -> CommutativeSymmetricVerdict:
-    """Test commutativity of the whole algebra against the equivalent
-    condition: commutative even part plus symmetric odd bimodule."""
+    """Commutativity as max |S - S^T| relative to max(1, max |S|), for S the
+    structure tensor.  It is also the verdict on a commutative even part plus a
+    symmetric odd bimodule (a x = x a and x y^dag = y^dag x for even a, odd x, y):
+    y -> y^dag maps the odd part onto itself, so those commutators are S - S^T
+    in a graded basis, and one vanishes iff the other does."""
     s = algebra.structure
-    comm = float(np.max(np.abs(s - s.transpose(1, 0, 2)))) if algebra.dim else 0.0
-    scale = max(1.0, float(np.max(np.abs(s))))
-    commutative = comm <= tol * scale
-
-    eb, ob = algebra.even_basis, algebra.odd_basis
-    # even part commutative; module symmetry a x = x a for even a, odd x;
-    # inner product symmetry left<x|y> = right<y|x>, i.e. x y^dag = y^dag x
-    pairs = [(eb, eb)]
-    if ob.shape[1]:
-        pairs += [(eb, ob), (ob, _dag(algebra, ob))]
-    sym_resid = max(
-        float(np.max(np.abs(_commutators(algebra, A, B)), initial=0.0)) for A, B in pairs
-    )
-    symmetric = sym_resid <= tol * scale
-    return CommutativeSymmetricVerdict(commutative, symmetric, comm, sym_resid)
+    comm = float(np.max(np.abs(s - s.transpose(1, 0, 2)), initial=0.0))
+    commutative = comm <= tol * max(1.0, float(np.max(np.abs(s))))
+    return CommutativeSymmetricVerdict(commutative, commutative, comm, comm)
 
 
 @dataclass(frozen=True)
@@ -903,11 +897,13 @@ def check_krein_identity(
 def check_decomposition(
     algebra: KreinAlgebra, samples: int = 100, seed: int = 7, tol: float = DEFAULT_TOL
 ) -> CheckResult:
-    """Grading: x = x_+ + x_- with alpha(x_+-) = +-x_+-, exactly in coordinates."""
-    X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
-    ev, od = algebra.even_projection(X), algebra.odd_projection(X)
-    alpha = algebra.alpha_coord.T
-    worst = max(_rel(r, X) for r in (ev + od - X, ev @ alpha - ev, od @ alpha + od))
+    """Grading: x = x_+ + x_- with alpha(x_+-) = +-x_+-, as A^2 = I on the basis.
+    With A = ``alpha_coord``, x_+- = (x +- A x)/2 sum to x identically and
+    alpha(x_+-) -+ x_+- = +-(A^2 - I) x / 2, so the residual is the sampled one
+    on each basis vector, max_j ||(A^2 - I) e_j|| / 2.  ``samples`` and ``seed``
+    are unused."""
+    A = algebra.alpha_coord
+    worst = float(np.max(np.linalg.norm(A @ A - np.eye(algebra.dim), axis=0))) / 2.0
     return CheckResult("decomposition", worst <= tol, worst)
 
 
@@ -1014,7 +1010,7 @@ def quotient_with_map(
     d, n = algebra.dim, algebra.ambient_dim
     rows = [np.asarray(_own(algebra, x).coords, dtype=complex) for x in ideal_basis]
     _, s, vh = np.linalg.svd(np.reshape(rows, (-1, d)), full_matrices=True)
-    k = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    k = _rank(s, tol)
     # orthonormal rows spanning the ideal coords (k, d) and their complement (d - k, d)
     ortho, comp = vh[:k], vh[k:]
 
@@ -1049,7 +1045,7 @@ def quotient_with_map(
     u_full, s_full, _ = np.linalg.svd(
         ideal_mats.transpose(1, 0, 2).reshape(n, k * n), full_matrices=True
     )
-    rank_v = int(np.sum(s_full > tol * s_full[0])) if s_full.size and s_full[0] > 0 else 0
+    rank_v = _rank(s_full, tol)
     W = u_full[:, rank_v:]  # orthonormal basis of the complement of the ideal range
     if W.shape[1] == 0:
         raise NotAnIdealError("ideal range covers the whole space; quotient would be trivial")

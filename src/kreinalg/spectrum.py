@@ -31,6 +31,7 @@ from .finite_krein import (
     _pairs_to_json,
     _products,
     _random_coords,
+    _rank,
     _rel,
     _worst,
     check_commutative_symmetric,
@@ -175,8 +176,7 @@ class Character:
         """Orthonormal columns spanning {x : w(x) = 0}."""
         W = self.functional_matrix()
         _, s, vh = np.linalg.svd(W)
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-        return vh[rank:].conj().T
+        return vh[_rank(s, tol):].conj().T
 
     def to_json_list(self) -> list:
         """``[w(B_i).to_json_dict() for each basis element B_i]``, built from the
@@ -324,7 +324,7 @@ def character_kernel_ideal(
     m = eb.shape[1]
     vals = np.asarray(omega.values, dtype=complex).reshape(1, m)
     _, s, vh = np.linalg.svd(vals)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    rank = _rank(s, tol)
     ker_cols = vh[rank:].conj().T  # (m, m - rank)
     even_kernel = eb @ ker_cols  # (d, m - rank) coordinates in the full algebra
     ob = algebra.odd_basis
@@ -333,8 +333,7 @@ def character_kernel_ideal(
         members.append(_products(algebra, ob, even_kernel).reshape(-1, algebra.dim))
     stacked = np.concatenate(members, axis=0)
     _, s2, vh2 = np.linalg.svd(stacked)
-    keep = s2 > tol * s2[0] if s2.size and s2[0] > 0 else np.zeros(0, bool)
-    return [GradedElement(algebra, row) for row in vh2[: int(np.sum(keep))]]
+    return [GradedElement(algebra, row) for row in vh2[: _rank(s2, tol)]]
 
 
 @dataclass
@@ -381,8 +380,7 @@ def verify_spectral_theorem(
     injectivity/surjectivity through the rank and conditioning of the
     transform matrix.
     """
-    cs = check_commutative_symmetric(algebra, tol=max(tol, algebra.tol))
-    if not cs.commutative or not cs.symmetric_bimodule:
+    if not check_commutative_symmetric(algebra, tol=max(tol, algebra.tol)).commutative:
         raise SpectralHypothesisError(
             "algebra is not commutative with symmetric odd bimodule",
             hypothesis="commutative",
@@ -412,7 +410,7 @@ def verify_spectral_theorem(
     )
 
     sv = np.linalg.svd(T, compute_uv=False)
-    rank = int(np.sum(sv > max(tol, 1e-12) * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = _rank(sv, max(tol, 1e-12))
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     checks.append(CheckResult("surjectivity_rank", rank == 2 * N, float(2 * N - rank)))
     checks.append(

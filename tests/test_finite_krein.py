@@ -52,6 +52,9 @@ def block_values(algebra, x):
     return [KElem(x.coords[2 * p], x.coords[2 * p + 1]) for p in range(n)]
 
 
+UNUSABLE_TOLS = [math.nan, math.inf, 0.0, -1e-9]
+
+
 class TestConstruction:
     @pytest.mark.parametrize("points", [1, 2, 5])
     def test_function_algebra_shape(self, points):
@@ -221,11 +224,22 @@ class TestConstruction:
         for name, resid in mixed.validation_residuals.items():
             assert name == "basis_independence" or resid <= 1e-9, (name, resid)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
-    def test_rejects_unusable_tol(self, tol):
+    @pytest.mark.parametrize(
+        "make, tol",
+        [pytest.param(KreinAlgebra, t, id=str(t)) for t in UNUSABLE_TOLS]
+        + [
+            # conjugating by the identity must reject the tol, not the unitary
+            pytest.param(conjugate_algebra, t, id=f"conjugate_algebra-{t}")
+            for t in UNUSABLE_TOLS
+        ],
+    )
+    def test_rejects_unusable_tol(self, make, tol):
         base = build_function_algebra(1)
+        args = (base.basis, base.symmetry_unitary)
+        if make is conjugate_algebra:
+            args = (base, np.eye(base.ambient_dim))
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
-            KreinAlgebra(base.basis, base.symmetry_unitary, tol=tol)
+            make(*args, tol=tol)
 
     def test_unit_distinct_from_ambient_identity(self):
         # A corner subalgebra is unital even though its unit is a proper
@@ -314,6 +328,15 @@ class TestGrading:
             assert np.allclose((even + odd).coords, x.coords, atol=1e-12)
         report = check_decomposition(fn3, samples=50, seed=1)
         assert report.passed and report.max_residual <= 1e-12
+
+    @pytest.mark.parametrize("case", ["conj3", "mixed4"])
+    def test_decomposition_is_alpha_squared_on_the_basis(self, request, case, mixed_function_algebra):
+        alg = request.getfixturevalue("conj3") if case == "conj3" else mixed_function_algebra(4)[0]
+        A = alg.alpha_coord
+        expected = np.max(np.linalg.norm(A @ A - np.eye(alg.dim), axis=0)) / 2.0
+        reports = {check_decomposition(alg, samples, seed) for samples in (1, 50) for seed in (0, 7, 99)}
+        assert len(reports) == 1
+        assert next(iter(reports)).max_residual == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_projections_are_idempotent(self, fn3):
         rng = np.random.default_rng(2)
@@ -528,16 +551,22 @@ class TestVerdicts:
         assert not check_full(nonfull_algebra)
 
     def test_commutative_symmetric_agreement(self, fn3, conj3, m2_algebra, nonfull_algebra):
+        # an antisymmetric defect in one even x odd pair: B_0 B_1 != B_1 B_0
+        defective = copy.copy(conj3)
+        defective.structure = conj3.structure.copy()
+        defective.structure[0, 1, 1] += 1e-6
+        defective.structure[1, 0, 1] -= 1e-6
         for alg, expected in (
             (fn3, True),
             (conj3, True),
             (m2_algebra, False),
             (nonfull_algebra, True),
+            (defective, False),
         ):
             verdict = check_commutative_symmetric(alg)
             assert verdict.commutative is expected
             assert verdict.symmetric_bimodule is expected
-            assert verdict.commutative == verdict.symmetric_bimodule
+            assert verdict.commutator_residual == verdict.symmetry_residual
 
     def test_odd_symmetry_presence(self, fn3):
         verdict = check_odd_symmetry(fn3, samples=40, seed=13)
