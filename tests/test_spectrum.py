@@ -34,6 +34,7 @@ from kreinalg import (
     spectrum_classes,
     verify_spectral_theorem,
 )
+from kreinalg import spectrum
 from kreinalg.spectrum import _largest_principal_angle
 
 
@@ -280,6 +281,76 @@ class TestSpectralTheorem:
             with pytest.raises(SpectralHypothesisError) as err:
                 verify_spectral_theorem(alg, samples=5, seed=9)
             assert err.value.hypothesis == "odd symmetry"
+
+
+SPECTRAL_CHECKS = [
+    "spectrum_size",
+    "surjectivity_rank",
+    "injectivity_conditioning",
+    "homomorphism_product",
+    "homomorphism_star",
+    "unital",
+    "intertwines_alpha",
+    "intertwines_odd_symmetry",
+    "isometry",
+    "round_trip",
+]
+
+# Each mutant rewrites the a- and b-value rows (A, B) of the even
+# representatives; value: the checks it must fail, every other check passes.
+# spectrum_size has none: even_characters returns one character per even
+# dimension and the classes are their extensions, so N = m by construction.
+SPECTRAL_MUTANTS = {
+    "partners": (lambda A, B: (A, -B), {"intertwines_odd_symmetry"}),
+    "scaled": (
+        lambda A, B: (1.001 * A, 1.001 * B),
+        {"homomorphism_product", "unital", "isometry"},
+    ),
+    "class_1_copies_class_0": (
+        lambda A, B: (A[[0, 0, 2]], B[[0, 0, 2]]),
+        {"surjectivity_rank", "injectivity_conditioning", "isometry", "round_trip"},
+    ),
+    "noise_on_a": (
+        lambda A, B: (A + 1e-6 * np.random.default_rng(0).standard_normal(A.shape), B),
+        {
+            "homomorphism_product",
+            "homomorphism_star",
+            "unital",
+            "intertwines_alpha",
+            "intertwines_odd_symmetry",
+            "isometry",
+        },
+    ),
+}
+
+
+class TestSpectralMutations:
+    @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
+    @pytest.mark.parametrize("name", list(SPECTRAL_MUTANTS))
+    def test_checks_fail_on_their_mutant(self, request, monkeypatch, fixture, name):
+        alg = request.getfixturevalue(fixture)
+        report = verify_spectral_theorem(alg)
+        assert [c.name for c in report.checks] == SPECTRAL_CHECKS and report.passed
+        alter, expected = SPECTRAL_MUTANTS[name]
+        extend = spectrum._extend
+        monkeypatch.setattr(spectrum, "_extend", lambda a, v: alter(*extend(a, v)))
+        report = verify_spectral_theorem(alg)
+        assert {c.name for c in report.checks if not c.passed} == expected
+
+    @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 2), (3, 4), (5, 5)], ids=lambda p: f"{p[0]}-{p[1]}")
+    def test_multiplicative_sees_a_single_pair_defect(self, request, fixture, pair):
+        # the certificate takes one random left slot against every basis
+        # element, so a defect in any one product B_i B_j must show
+        alg = request.getfixturevalue(fixture)
+        mutant = copy.copy(alg)
+        mutant.structure = alg.structure.copy()
+        mutant.structure[pair] += 1e-6 * np.random.default_rng(1).standard_normal(alg.dim)
+        for cls in spectrum_classes(alg):
+            w = cls.even_rep
+            assert character_residuals(w)["multiplicative"] <= 1e-14
+            defective = Character(mutant, w.a_values, w.b_values)
+            assert character_residuals(defective)["multiplicative"] > 1e-8
 
 
 class TestKernels:
