@@ -25,6 +25,7 @@ import argparse
 import gc
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import kalgebra
 from .finite_krein import (
@@ -240,7 +242,54 @@ def _gc_paused():
             gc.enable()
 
 
+# orjson turns its document into Python objects recursively, with no depth
+# limit, and overflows the C stack on input nested some 50 000 deep; an
+# instance is nested 5 deep.
+_ORJSON_MAX_DEPTH = 64
+# the bytes that set the bracket nesting of JSON text: brackets, the quotes
+# around strings, and backslashes with every character an escape can start
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\/bfnrtu')))
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
+_PARENS = bytes.maketrans(b"[{]}", b"(())")
+
+
+def _nests_within(raw: bytes, depth: int) -> bool:
+    """Whether the brackets of JSON text, those inside strings not counted,
+    balance and nest at most `depth` deep.  Exact for valid JSON; invalid
+    text orjson rejects while it parses, before nesting can matter."""
+    parens = _STRING.sub(b"", raw.translate(None, _NOT_NESTING))
+    parens = parens.translate(_PARENS, b'"\\/bfnrtu')
+    for _ in range(depth):
+        if not parens:
+            break
+        parens = parens.replace(b"()", b"")  # the innermost level
+    return not parens
+
+
 def _read_json(path: Path):
+    """The parsed instance file.  orjson parses it; json re-reads what orjson
+    rejects or would read differently, so that every error, and every value,
+    is json's: text nested deeper than _ORJSON_MAX_DEPTH, and an `ambient_dim`
+    or `points` that orjson returns as a float (as it does an integer beyond
+    64 bits).  The re-read goes through read_text, whose universal newlines
+    set the line numbers in json's messages."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot read input: {exc}") from exc
+    if _nests_within(raw, _ORJSON_MAX_DEPTH):
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if not (
+                isinstance(data, dict)
+                and float in (type(data.get("ambient_dim")), type(data.get("points")))
+            ):
+                return data
+            del data
+    del raw
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -251,6 +300,8 @@ def _read_json(path: Path):
         raise InstanceFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("invalid JSON: nested too deep to parse") from exc
 
 
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +37,57 @@ def write_instance(path, mutate=None):
 @pytest.fixture()
 def good_instance(tmp_path):
     return write_instance(tmp_path / "good.json")
+
+
+def json_only_read(path):
+    """The instance reader that parses with json alone: the reference the
+    orjson reader must agree with."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise kreinalg.InstanceFormatError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise kreinalg.InstanceFormatError(f"input is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise kreinalg.InstanceFormatError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
+def load_outcome(path, monkeypatch, capsys, reader=None):
+    """What loading `path` gives, read by the CLI's reader or by `reader`: the
+    bytes of the algebra's basis, unitary and odd generator, or the error's
+    type, message and field with verify's exit code and stderr."""
+    with monkeypatch.context() as m:
+        if reader is not None:
+            m.setattr(cli, "_read_json", reader)
+        try:
+            alg = cli._load_algebra(cli.RunConfig("verify", input_path=path))
+        except Exception as exc:
+            error = {"error": (type(exc), str(exc), getattr(exc, "field", None))}
+            try:
+                error["exit"] = main(["verify", "--input", str(path)])
+            except Exception as exc:
+                error["exit"] = type(exc)
+            error["stderr"] = capsys.readouterr().err
+            return error
+    return {
+        "algebra": [
+            np.asarray(a).tobytes()
+            for a in (alg.basis, alg.symmetry_unitary, alg.odd_generator_coords)
+        ]
+    }
+
+
+def matrix_instance_text(basis_one="1.0"):
+    """A 2-point function algebra in matrix form, with indent=2, the 1.0
+    leaves of its basis written as `basis_one`: a basis scaled by one factor
+    spans the same algebra."""
+    blob = algebra_to_instance_dict(build_function_algebra(2))
+    for pair in (pair for matrix in blob["basis"] for row in matrix for pair in row):
+        if pair[0] == 1.0:
+            pair[0] = "@"
+    return json.dumps(blob, indent=2).replace('"@"', basis_one)
 
 
 class TestVerify:
@@ -95,6 +147,118 @@ class TestVerify:
         assert main(["verify", "--input", str(inst)]) == 2
         err = capsys.readouterr().err
         assert "basis[0][1][1]: expected a [re, im] pair of finite numbers" in err
+
+    @pytest.mark.parametrize(
+        "make_text",
+        [
+            lambda: matrix_instance_text().replace("1.0,", "1.0", 1).replace("\n", "\r"),
+            lambda: matrix_instance_text().replace("1.0,", "1.0", 1).replace("\n", "\r\n"),
+            lambda: "\ufeff" + matrix_instance_text(),
+            lambda: matrix_instance_text() + "\n{}",
+            lambda: matrix_instance_text().replace("{", '{"ambient_dim": 7, "basis": [], ', 1),
+            lambda: matrix_instance_text().replace('"ambient_dim": 4', '"ambient_dim": 18446744073709551616'),
+            lambda: matrix_instance_text().replace('"ambient_dim": 4', '"ambient_dim": 2.0'),
+            lambda: '{"kind": "function_algebra", "points": 18446744073709551616}',
+            lambda: '{"kind": "function_algebra", "points": 2.0}',
+            lambda: matrix_instance_text().replace('"matrix_algebra"', '"\\ud800"'),
+            lambda: matrix_instance_text("1000000000000000000000000"),
+            lambda: matrix_instance_text("1234567890123456789012345"),
+            lambda: matrix_instance_text().replace("0.0", "-0"),
+        ],
+        ids=[
+            "cr-syntax-error",
+            "crlf-syntax-error",
+            "utf8-bom",
+            "trailing-data",
+            "duplicate-keys",
+            "ambient-dim-2**64",
+            "ambient-dim-2.0",
+            "points-2**64",
+            "points-2.0",
+            "lone-surrogate-kind",
+            "25-digit-integer-leaves-power-of-ten",
+            "25-digit-integer-leaves",
+            "minus-zero-leaves",
+        ],
+    )
+    def test_reader_agrees_with_json(self, tmp_path, monkeypatch, capsys, make_text):
+        inst = tmp_path / "edge.json"
+        inst.write_text(make_text(), encoding="utf-8")
+        expected = load_outcome(inst, monkeypatch, capsys, reader=json_only_read)
+        assert load_outcome(inst, monkeypatch, capsys) == expected
+
+    @pytest.mark.parametrize("points", [1, 2, 8])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_reader_agrees_with_json_on_gen_output(self, tmp_path, monkeypatch, capsys, points, conjugate):
+        inst = tmp_path / "gen.json"
+        main(["gen", "--points", str(points), "--out", str(inst)] + ["--conjugate"] * conjugate)
+        expected = load_outcome(inst, monkeypatch, capsys, reader=json_only_read)
+        assert "algebra" in expected
+        assert load_outcome(inst, monkeypatch, capsys) == expected
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**300), 10**300)),
+            min_size=1,
+        )
+    )
+    def test_number_leaves_read_as_json_reads_them(self, leaves):
+        text = json.dumps(leaves).encode()
+        ours = np.fromiter(orjson.loads(text), dtype=float, count=len(leaves))
+        reference = np.fromiter(json.loads(text), dtype=float, count=len(leaves))
+        assert ours.tobytes() == reference.tobytes()
+
+    def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch):
+        inst = tmp_path / "rot.json"
+        main(["gen", "--points", "2", "--conjugate", "--out", str(inst)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("valid input took the json path")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["verify", "--input", str(inst)]) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["list", "object"])
+    def test_deep_nesting_is_a_schema_error(self, tmp_path, capsys, command, opening, closing):
+        inst = tmp_path / "deep.json"
+        deep = opening * 5000 + "1" + closing * 5000
+        inst.write_text('{"kind": "function_algebra", "points": 2, "x": ' + deep + "}")
+        assert main([command, "--input", str(inst)]) == 2
+        assert "error: invalid JSON: nested too deep to parse" in capsys.readouterr().err
+
+    def test_nesting_hidden_by_brackets_in_strings_is_a_schema_error(self, tmp_path):
+        """Nesting deep enough to overflow the C stack in orjson, behind a
+        string of closing brackets that a count blind to strings would
+        subtract; in a subprocess, so a crash fails only this test."""
+        inst = tmp_path / "deep.json"
+        depth = 100_000
+        inst.write_text(
+            '{"kind": "function_algebra", "points": 2, "s": "' + "]}" * depth
+            + '", "x": ' + '{"a": ' * depth + "1" + "}" * depth + "}"
+        )
+        src = str(Path(kreinalg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kreinalg.cli", "verify", "--input", str(inst)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: invalid JSON: nested too deep to parse\n"
+
+    @pytest.mark.parametrize(
+        "text, depth",
+        [
+            (b"[]", 1),
+            (b'{"a": [1, {"b": "]]}}"}]}', 3),
+            (b'{"k": "\\"[[{", "x": [[[]]]}', 4),
+            (b'["\\\\", [[]], "\\u005b\\n\\/"]', 3),
+        ],
+    )
+    def test_nesting_depth_skips_strings(self, text, depth):
+        assert cli._nests_within(text, depth)
+        assert not cli._nests_within(text, depth - 1)
 
     def test_more_basis_matrices_than_entries_is_a_schema_error(self, tmp_path, capsys):
         inst = tmp_path / "dependent.json"
