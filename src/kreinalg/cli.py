@@ -15,8 +15,8 @@ counterexample
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
 arguments or an unwritable output path, 3 spectral-theorem hypothesis
-failure.  Reports are JSON and are deterministic functions of the input
-bytes and flags.
+failure.  Reports are RFC 8259 JSON, written by orjson, and deterministic
+in the input bytes and flags.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +88,9 @@ class RunConfig:
             raise ValueError("samples must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        for flag in ("seed", "samples", "points", "grid"):
+            if getattr(self, flag) >= 2**64:  # reports echo them, as 64-bit JSON integers
+                raise ValueError(f"--{flag} must be less than 2**64")
         if self.command in ("verify", "spectrum") and self.input_path is None:
             raise ValueError(f"{self.command} requires an input file")
         if self.command == "gen" and self.output_path is None:
@@ -102,125 +103,40 @@ class RunConfig:
         return self
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(k) -> str:
-    if not isinstance(k, str):
-        raise TypeError(f"keys must be str, not {type(k).__name__}")
-    return encode_basestring_ascii(k) + ": "
-
-
-def _float_rows(rows, level: int) -> str | None:
-    """The text of a list of equal-length lists of finite floats (such as a row
-    of [re, im] pairs) from one %r template per item; None for any other list."""
-    first = rows[0]
-    if not (isinstance(first, (list, tuple)) and first and type(first[0]) is float):
-        return None
-    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
-        return None
-    leaves = tuple(chain.from_iterable(rows))
-    if set(map(type, leaves)) != {float}:
-        return None
-    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    item = "[" + inner + ("," + inner).join(["%r"] * len(first)) + outer + "]"
-    text = "[" + outer + ("," + outer).join([item] * len(rows)) + outer[:-2] + "]"
-    text %= leaves
-    return None if "n" in text else text  # "nan" and "inf" take the general path
-
-
-def _record_rows(rows, level: int) -> str | None:
-    """The text of a list of dicts with one set of string keys whose values are
-    equal-length lists of finite floats (such as a character's
-    {"a": [re, im], "b": [re, im]} records) from one %r template per record;
-    None for any other list."""
-    first = rows[0]
-    if type(first) is not dict or not first or set(map(type, first)) != {str}:
-        return None
-    if set(map(type, rows)) != {dict} or len(set(map(frozenset, rows))) != 1:
-        return None
-    keys = sorted(first)
-    values = [r[k] for r in rows for k in keys]
-    if not set(map(type, values)) <= {list, tuple} or len(set(map(len, values))) != 1:
-        return None
-    leaves = tuple(chain.from_iterable(values))
-    if not leaves or set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
-        return None
-    nl1, nl2, nl3 = ("\n" + "  " * (level + i) for i in (1, 2, 3))
-    value = "[" + nl3 + ("," + nl3).join(["%r"] * len(values[0])) + nl2 + "]"
-    members = [_key_text(k).replace("%", "%%") + value for k in keys]
-    record = "{" + nl2 + ("," + nl2).join(members) + nl1 + "}"
-    return ("[" + nl1 + ("," + nl1).join([record] * len(rows)) + nl1[:-2] + "]") % leaves
-
-
-def _encode(o, level: int) -> str:
-    """json.dumps(o, sort_keys=True, indent=2) for a value nested `level` deep;
-    dict keys must be strings."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        text = _float_rows(o, level) or _record_rows(o, level)
-        if text is not None:
-            return text
-        nl = "\n" + "  " * (level + 1)
-        return "[" + nl + ("," + nl).join([_encode(v, level + 1) for v in o]) + nl[:-2] + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        nl = "\n" + "  " * (level + 1)
-        members = [_key_text(k) + _encode(v, level + 1) for k, v in sorted(o.items())]
-        return "{" + nl + ("," + nl).join(members) + nl[:-2] + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+# numpy scalars too: counterexample cells carry numpy.float64, spelled as float
+_OPT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def _pieces(o, level: int = 0, depth: int = 2):
-    """The text of _encode(o, level), in pieces: containers in the top `depth`
-    levels yield one piece per member, so a large value is never held whole."""
+    """The bytes of orjson.dumps(o, option=_OPT) for a value nested `level`
+    deep, in pieces: containers in the top `depth` levels yield one piece per
+    member, so a large value is never held whole.  Dict keys must be strings."""
     if depth == 0 or not isinstance(o, (dict, list, tuple)) or not o:
-        yield _encode(o, level)
+        yield orjson.dumps(o, option=_OPT).replace(b"\n", b"\n" + b"  " * level)
         return
-    nl = "\n" + "  " * (level + 1)
+    nl = b"\n" + b"  " * (level + 1)
     if isinstance(o, dict):
-        opening, closing = "{", "}"
-        members = [(_key_text(k), v) for k, v in sorted(o.items())]
+        opening, closing = b"{", b"}"
+        members = [(orjson.dumps(k) + b": ", v) for k, v in sorted(o.items())]
     else:
-        opening, closing = "[", "]"
-        members = [("", v) for v in o]
+        opening, closing = b"[", b"]"
+        members = [(b"", v) for v in o]
     for i, (prefix, v) in enumerate(members):
-        yield ("," if i else opening) + nl + prefix
+        yield (b"," if i else opening) + nl + prefix
         yield from _pieces(v, level + 1, depth - 1)
     yield nl[:-2] + closing
 
 
 def _dump_json(data: dict, path: Path | None) -> bool:
-    """Write json.dumps(data, sort_keys=True, indent=2) plus a newline to path;
-    with no path, format nothing.  False, with the error printed, when the
-    file cannot be written."""
+    """Write orjson.dumps(data, option=_OPT) plus a newline to path: shortest
+    round-trip floats, null for non-finite numbers.  With no path, format
+    nothing.  False, with the error printed, when the file cannot be written."""
     if path is None:
         return True
     try:
-        with path.open("w") as f:
+        with path.open("wb") as f:
             f.writelines(_pieces(data))
-            f.write("\n")
+            f.write(b"\n")
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
@@ -424,7 +340,11 @@ def run_gen(cfg: RunConfig) -> int:
     """Write an instance file; identical seeds give identical bytes."""
     with _gc_paused():
         if cfg.conjugate:
-            base = build_function_algebra(cfg.points, tol=cfg.tol)
+            try:
+                base = build_function_algebra(cfg.points, tol=cfg.tol)
+            except InstanceFormatError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_BAD_INPUT
             rng = np.random.default_rng(cfg.seed)
             Q = random_unitary(base.ambient_dim, rng)
             data = algebra_to_instance_dict(conjugate_algebra(base, Q))

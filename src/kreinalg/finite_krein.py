@@ -694,7 +694,10 @@ def build_function_algebra(points: int, tol: float = DEFAULT_TOL) -> KreinAlgebr
         raise ValueError(f"points must be >= 1, got {points}")
     n = 2 * points
     d = 2 * points
-    basis = np.zeros((d, n, n), dtype=complex)
+    try:
+        basis = np.zeros((d, n, n), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # numpy cannot allocate the dense basis
+        raise InstanceFormatError(f"too large to build: {exc}", "points") from exc
     for p in range(points):
         basis[2 * p, 2 * p, 2 * p] = 1.0
         basis[2 * p, 2 * p + 1, 2 * p + 1] = 1.0

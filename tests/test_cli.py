@@ -26,6 +26,18 @@ from kreinalg import cli
 from kreinalg.cli import main
 
 
+def read_back(o):
+    """`o` as json.loads reads it back from what the CLI writes: tuples as
+    lists, a float as its bits, a non-finite number as None."""
+    if isinstance(o, float):
+        return float.hex(float(o)) if math.isfinite(o) else None
+    if isinstance(o, (list, tuple)):
+        return [read_back(v) for v in o]
+    if isinstance(o, dict):
+        return {k: read_back(v) for k, v in o.items()}
+    return o
+
+
 def write_instance(path, mutate=None):
     blob = algebra_to_instance_dict(build_function_algebra(2))
     if mutate is not None:
@@ -118,6 +130,30 @@ class TestVerify:
         assert main(["verify", "--input", str(inst)]) == 1
         out = capsys.readouterr().out
         assert "odd_symmetry" in out and "FAIL" in out
+
+    def test_non_finite_residual_reports_null(self, tmp_path):
+        """An odd generator scaled by 1e200 overflows the odd-symmetry
+        residual; the report writes it as null and stays strict JSON."""
+        inst = tmp_path / "rot2.json"
+        main(["gen", "--points", "2", "--conjugate", "--out", str(inst)])
+        blob = json.loads(inst.read_text())
+        blob["odd_generator"] = [[1e200 * re, 1e200 * im] for re, im in blob["odd_generator"]]
+        inst.write_text(json.dumps(blob))
+        report = tmp_path / "report.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["verify", "--input", str(inst), "--report", str(report)]) == 1
+        odd = {c["name"]: c for c in orjson.loads(report.read_bytes())["checks"]}["odd_symmetry"]
+        assert odd["passed"] is False
+        assert odd["max_residual"] is None
+
+    @pytest.mark.parametrize("points", [10**7, 2**64], ids=["10**7", "2**64"])
+    def test_unbuildable_function_algebra_is_a_schema_error(self, tmp_path, capsys, points):
+        """numpy refuses both sizes before allocating anything; 2**64 is read
+        by the json fallback."""
+        inst = tmp_path / "big.json"
+        inst.write_text(f'{{"kind": "function_algebra", "points": {points}}}')
+        assert main(["verify", "--input", str(inst)]) == 2
+        assert "error: points: too large to build" in capsys.readouterr().err
 
     def test_non_unitary_symmetry_is_a_schema_error(self, tmp_path, capsys):
         def bend_u(blob):
@@ -394,6 +430,8 @@ class TestGen:
     @pytest.mark.parametrize("points", [1, 2, 8, 24])
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_bytes_equal_json_dumps(self, tmp_path, points, conjugate):
+        """The streamed file is the whole-document orjson text, and reads back
+        to the instance's values, every float bitwise."""
         out = tmp_path / "inst.json"
         argv = ["gen", "--points", str(points), "--seed", "3", "--out", str(out)]
         assert main(argv + ["--conjugate"] * conjugate) == 0
@@ -403,7 +441,15 @@ class TestGen:
             data = algebra_to_instance_dict(conjugate_algebra(base, Q))
         else:
             data = function_algebra_instance(points)
-        assert out.read_bytes() == (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
+        text = out.read_bytes()
+        assert text == orjson.dumps(data, option=cli._OPT) + b"\n"
+        assert read_back(json.loads(text)) == read_back(data)
+
+    def test_unbuildable_points_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        assert main(["gen", "--points", str(10**7), "--conjugate", "--out", str(out)]) == 2
+        assert "error: points: too large to build" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCounterexample:
@@ -455,6 +501,30 @@ class TestBadArgumentsAndFiles:
         assert main([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 2
         assert "error: seed must be a non-negative integer" in capsys.readouterr().err
         assert not paths["out"].exists()
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["verify", "--input", "{good}"], ["--seed", "--samples"]),
+            (["spectrum", "--input", "{good}"], ["--seed", "--samples"]),
+            (["gen", "--points", "2", "--conjugate", "--out", "{out}"], ["--seed", "--samples", "--points"]),
+            (["counterexample", "--grid", "2"], ["--seed", "--samples", "--grid"]),
+        ],
+        ids=["verify", "spectrum", "gen", "counterexample"],
+    )
+    def test_flag_beyond_64_bits_exits_2(self, tmp_path, good_instance, capsys, argv, flags):
+        """The reports echo these flags, and JSON integers are 64-bit."""
+        paths = {"good": good_instance, "out": tmp_path / "out.json"}
+        for flag in flags:
+            assert main([a.format(**paths) for a in argv] + [flag, str(2**64)]) == 2
+            assert f"error: {flag} must be less than 2**64" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    def test_largest_seed_is_echoed(self, tmp_path):
+        report = tmp_path / "cells.json"
+        argv = ["counterexample", "--grid", "2", "--seed", str(2**64 - 1), "--report", str(report)]
+        assert main(argv) == 0
+        assert orjson.loads(report.read_bytes())["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
@@ -556,16 +626,19 @@ class TestParser:
         assert err.value.code == 2
 
 
-# JSON values of the shapes the CLI writes, and the edge cases of json.dumps:
-# empty containers, tuples, NaN, infinities, -0.0, non-ASCII strings, ragged
-# rows, rows mixing ints and floats, equal-length float rows and uniform
-# records (the writer's two fast paths) with and without non-finite entries,
-# and records whose key sets or value lengths differ.
+# JSON values of the shapes the CLI writes, and the edge cases of the writer:
+# empty containers, tuples, NaN, infinities, -0.0, numpy.float64, non-ASCII
+# strings, ragged rows, rows mixing ints and floats, equal-length float rows
+# (basis matrices) and uniform records (characters), and records whose key
+# sets or value lengths differ.  Integers stay in orjson's 64-bit range and
+# text has no lone surrogates: orjson rejects both, and the CLI writes neither.
 _floats = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
 _float_rows = st.integers(1, 3).flatmap(
     lambda k: st.lists(st.lists(_floats, min_size=k, max_size=k), min_size=1, max_size=4)
 )
-_keys = st.text(max_size=3) | st.sampled_from(["a", "b", "%", "%r", "\u00e9"])
+_ints = st.integers(-(2**63), 2**64 - 1)
+_chars = st.characters(blacklist_categories=("Cs",))
+_keys = st.text(_chars, max_size=3) | st.sampled_from(["a", "b", "%", "\u00e9", "\U0001f600"])
 
 
 def _uniform_records(keys, k):
@@ -582,13 +655,13 @@ _loose_records = st.lists(
     min_size=1,
     max_size=4,
 )
-_scalars = st.none() | st.booleans() | st.integers() | _floats | st.text()
-_rows = st.lists(st.lists(st.integers() | st.floats(allow_nan=False), max_size=3), max_size=4)
+_scalars = st.none() | st.booleans() | _ints | _floats | _floats.map(np.float64) | st.text(_chars)
+_rows = st.lists(st.lists(_ints | st.floats(allow_nan=False), max_size=3), max_size=4)
 _json_values = st.recursive(
     _scalars | _float_rows | _records | _loose_records | _rows,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(), inner, max_size=4),
+    | st.dictionaries(st.text(_chars), inner, max_size=4),
     max_leaves=20,
 )
 
@@ -596,21 +669,11 @@ _json_values = st.recursive(
 class TestJsonWriter:
     @given(_json_values)
     def test_bytes_equal_json_dumps(self, data):
-        expected = json.dumps(data, sort_keys=True, indent=2)
-        assert cli._encode(data, 0) == expected
-        assert "".join(cli._pieces(data)) == expected
-
-    def test_uniform_records_take_the_template(self):
-        records = [{"b": [0.5, -0.0], "a%": [1e-300, 2.0]}, {"a%": [3.0, -4.5], "b": [1.0, 0.1]}]
-        text = cli._record_rows(records, 2)
-        assert text == json.dumps(records, sort_keys=True, indent=2).replace("\n", "\n    ")
-        for bent in (
-            [records[0], {"a%": [3.0, -4.5]}],                    # key sets differ
-            [records[0], {"a%": [3.0], "b": [1.0, 0.1]}],         # lengths differ
-            [records[0], {"a%": [3.0, math.nan], "b": [1.0, 0.1]}],  # not finite
-            [records[0], {"a%": [3.0, 1], "b": [1.0, 0.1]}],      # an int leaf
-        ):
-            assert cli._record_rows(bent, 2) is None
+        """The streamed pieces join to orjson's one-shot text, which json
+        reads back to the value: floats bitwise, NaN and infinities as None."""
+        text = b"".join(cli._pieces(data))
+        assert text == orjson.dumps(data, option=cli._OPT)
+        assert read_back(json.loads(text)) == read_back(data)
 
     def test_no_path_formats_nothing(self, good_instance, monkeypatch):
         def refuse(*args):
