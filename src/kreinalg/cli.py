@@ -41,8 +41,6 @@ from .finite_krein import (
     CheckResult,
     KreinAlgebra,
     algebra_from_instance_dict,
-    algebra_to_instance_dict,
-    build_function_algebra,
     check_bimodule_axioms,
     check_commutative_symmetric,
     check_cstar_identity,
@@ -50,10 +48,13 @@ from .finite_krein import (
     check_full,
     check_imprimitivity,
     check_odd_symmetry,
-    conjugate_algebra,
     function_algebra_instance,
     random_unitary,
+    _conjugated,
+    _function_algebra_arrays,
     _krein_from_cstar,
+    _matrix_instance,
+    _pairs_to_json,
 )
 from .spectrum import SpectralHypothesisError, verify_spectral_theorem
 
@@ -107,12 +108,23 @@ class RunConfig:
 _OPT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
+def _complex_pairs(o) -> list:
+    """orjson's fallback for what it cannot write: a complex array becomes
+    its [re, im] pairs, so a basis matrix is a list tree only while it is
+    being formatted."""
+    if isinstance(o, np.ndarray) and np.iscomplexobj(o):
+        return _pairs_to_json(o)
+    raise TypeError(f"cannot write {type(o).__name__}")
+
+
 def _pieces(o, level: int = 0, depth: int = 2):
-    """The bytes of orjson.dumps(o, option=_OPT) for a value nested `level`
-    deep, in pieces: containers in the top `depth` levels yield one piece per
-    member, so a large value is never held whole.  Dict keys must be strings."""
+    """The bytes of orjson.dumps(o, default=_complex_pairs, option=_OPT) for a
+    value nested `level` deep, in pieces: containers in the top `depth` levels
+    yield one piece per member, so a large value is never held whole.  Dict
+    keys must be strings."""
     if depth == 0 or not isinstance(o, (dict, list, tuple)) or not o:
-        yield orjson.dumps(o, option=_OPT).replace(b"\n", b"\n" + b"  " * level)
+        text = orjson.dumps(o, default=_complex_pairs, option=_OPT)
+        yield text.replace(b"\n", b"\n" + b"  " * level)
         return
     nl = b"\n" + b"  " * (level + 1)
     if isinstance(o, dict):
@@ -128,11 +140,18 @@ def _pieces(o, level: int = 0, depth: int = 2):
 
 
 def _dump_json(data: dict, path: Path | None) -> bool:
-    """Write orjson.dumps(data, option=_OPT) plus a newline to path: shortest
+    """Write orjson.dumps(data, default=_complex_pairs, option=_OPT) plus a
+    newline to path: complex arrays as [re, im] pairs, shortest
     round-trip floats, null for non-finite numbers.  With no path, format
     nothing.  False, with the error printed, when the file cannot be written."""
     if path is None:
         return True
+    # After OpenBLAS's complex GEMM, orjson formats floats 4-10x slower until
+    # a numpy ufunc has run, which fits an upper AVX-512 register state left
+    # dirty (SSE code pays for it; a ufunc's vector code clears it).  On a
+    # 2-core AVX-512 Xeon, gen --points 24 --conjugate takes 0.09-0.13 s with
+    # this line and 0.14-0.27 s without.
+    np.add(np.ones(64), 1.0)
     try:
         with path.open("wb") as f:
             f.writelines(_pieces(data))
@@ -227,6 +246,18 @@ def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
         return algebra_from_instance_dict(_read_json(cfg.input_path), tol=cfg.tol)
 
 
+def _drawable(cfg: RunConfig, algebra: KreinAlgebra) -> bool:
+    """Whether numpy can hold the largest random draw of the sampled checks,
+    (samples, 2, dim) floats; if not, the error is printed, naming --samples.
+    A shape beyond numpy's size limit is rejected before anything is allocated."""
+    try:
+        np.empty((cfg.samples, 2, algebra.dim))
+    except (ValueError, MemoryError) as exc:
+        print(f"error: --samples {cfg.samples} is too large to draw: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _print_checks(checks: list[CheckResult]) -> None:
     width = max(len(c.name) for c in checks) + 2
     for c in checks:
@@ -241,6 +272,8 @@ def run_verify(cfg: RunConfig) -> int:
         algebra = _load_algebra(cfg)
     except (InstanceFormatError, AlgebraValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if not _drawable(cfg, algebra):
         return EXIT_BAD_INPUT
 
     tol, samples, seed = cfg.tol, cfg.samples, cfg.seed
@@ -314,6 +347,8 @@ def run_spectrum(cfg: RunConfig) -> int:
     except (InstanceFormatError, AlgebraValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if not _drawable(cfg, algebra):
+        return EXIT_BAD_INPUT
 
     try:
         report = verify_spectral_theorem(algebra, cfg.samples, cfg.seed, cfg.tol)
@@ -337,21 +372,23 @@ def run_spectrum(cfg: RunConfig) -> int:
 
 
 def run_gen(cfg: RunConfig) -> int:
-    """Write an instance file; identical seeds give identical bytes."""
+    """Write an instance file; identical seeds give identical bytes.  With
+    --conjugate, the closed form of C(X) (x) K is rotated by the seeded Q and
+    written one basis matrix at a time; no algebra is constructed, since
+    verify and spectrum validate the instance when they load it."""
+    if cfg.conjugate:
+        try:
+            basis, sym, _, odd_gen = _function_algebra_arrays(cfg.points)
+            Q = random_unitary(len(sym), np.random.default_rng(cfg.seed))
+            basis, sym = _conjugated(basis, sym, Q, cfg.tol)
+        except (InstanceFormatError, AlgebraValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        data = _matrix_instance(basis, sym, odd_gen)
+    else:
+        data = function_algebra_instance(cfg.points)
     with _gc_paused():
-        if cfg.conjugate:
-            try:
-                base = build_function_algebra(cfg.points, tol=cfg.tol)
-            except InstanceFormatError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_BAD_INPUT
-            rng = np.random.default_rng(cfg.seed)
-            Q = random_unitary(base.ambient_dim, rng)
-            data = algebra_to_instance_dict(conjugate_algebra(base, Q))
-        else:
-            data = function_algebra_instance(cfg.points)
         written = _dump_json(data, cfg.output_path)
-        del data  # freed before the collector is back on
     if not written:
         return EXIT_BAD_INPUT
     print(f"wrote {cfg.output_path}")

@@ -681,22 +681,17 @@ def _own(algebra: KreinAlgebra, x) -> GradedElement:
 # -- constructors -------------------------------------------------------------
 
 
-def build_function_algebra(points: int, tol: float = DEFAULT_TOL) -> KreinAlgebra:
-    """Algebra of rank-one-algebra valued functions on a finite point set.
-
-    The ambient space is block diagonal with one 2x2 block per point.  Basis
-    ordering is (even, odd) per point: the even element is the identity on
-    one block, the odd one is [[0, 1], [1, 0]] on the same block.  The
-    fundamental symmetry acts blockwise as conjugation by diag(1, -1) and the
-    odd generator is the constant function with value [[0, 1], [1, 0]].
-    """
+def _function_algebra_arrays(points: int) -> tuple[np.ndarray, ...]:
+    """C(X) (x) K over ``points`` points in closed form: the basis, the symmetry
+    unitary, the unit's coordinates and the odd generator's coordinates (see
+    ``build_function_algebra``).  InstanceFormatError on ``points`` when numpy
+    cannot allocate the dense basis."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     n = 2 * points
-    d = 2 * points
     try:
-        basis = np.zeros((d, n, n), dtype=complex)
-    except (ValueError, MemoryError) as exc:  # numpy cannot allocate the dense basis
+        basis = np.zeros((n, n, n), dtype=complex)
+    except (ValueError, MemoryError) as exc:
         raise InstanceFormatError(f"too large to build: {exc}", "points") from exc
     for p in range(points):
         basis[2 * p, 2 * p, 2 * p] = 1.0
@@ -706,9 +701,20 @@ def build_function_algebra(points: int, tol: float = DEFAULT_TOL) -> KreinAlgebr
     sym = np.diag(np.tile([1.0, -1.0], points)).astype(complex)
     unit = np.tile([1.0, 0.0], points).astype(complex)
     odd_gen = np.tile([0.0, 1.0], points).astype(complex)
-    return KreinAlgebra(
-        basis, sym, unit_coords=unit, odd_generator=odd_gen, tol=tol
-    )
+    return basis, sym, unit, odd_gen
+
+
+def build_function_algebra(points: int, tol: float = DEFAULT_TOL) -> KreinAlgebra:
+    """Algebra of rank-one-algebra valued functions on a finite point set.
+
+    The ambient space is block diagonal with one 2x2 block per point.  Basis
+    ordering is (even, odd) per point: the even element is the identity on
+    one block, the odd one is [[0, 1], [1, 0]] on the same block.  The
+    fundamental symmetry acts blockwise as conjugation by diag(1, -1) and the
+    odd generator is the constant function with value [[0, 1], [1, 0]].
+    """
+    basis, sym, unit, odd_gen = _function_algebra_arrays(points)
+    return KreinAlgebra(basis, sym, unit_coords=unit, odd_generator=odd_gen, tol=tol)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -720,20 +726,25 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) -> KreinAlgebra:
-    """Unitarily conjugated copy; coordinates keep their meaning."""
-    tol = _positive_tol(algebra.tol if tol is None else tol)
+def _conjugated(basis: np.ndarray, symmetry: np.ndarray, unitary, tol: float) -> tuple:
+    """Q B Q^H for the basis stack and for the symmetry unitary, once Q passes
+    ||Q^H Q - I||_2 <= tol; AlgebraValidationError otherwise."""
     Q = np.asarray(unitary, dtype=complex)
-    n = algebra.ambient_dim
+    n = symmetry.shape[0]
     if Q.shape != (n, n):
         raise AlgebraValidationError(f"conjugating unitary must be {n} x {n}")
     if not np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= tol:
         raise AlgebraValidationError("conjugating matrix is not unitary")
-    new_basis = Q @ algebra.basis @ Q.conj().T
-    new_sym = Q @ algebra.symmetry_unitary @ Q.conj().T
+    return Q @ basis @ Q.conj().T, Q @ symmetry @ Q.conj().T
+
+
+def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) -> KreinAlgebra:
+    """Unitarily conjugated copy; coordinates keep their meaning."""
+    tol = _positive_tol(algebra.tol if tol is None else tol)
+    basis, sym = _conjugated(algebra.basis, algebra.symmetry_unitary, unitary, tol)
     return KreinAlgebra(
-        new_basis,
-        new_sym,
+        basis,
+        sym,
         unit_coords=algebra.unit_coords,
         odd_generator=algebra.odd_generator_coords,
         tol=tol,
@@ -1160,17 +1171,24 @@ def function_algebra_instance(points: int) -> dict:
     return {"kind": "function_algebra", "points": int(points)}
 
 
-def algebra_to_instance_dict(algebra: KreinAlgebra) -> dict:
-    out = {
+def _matrix_instance(basis, symmetry_unitary, odd_generator, leaf=None) -> dict:
+    """The matrix_algebra instance of these complex arrays, each basis matrix,
+    the unitary and the generator's coordinates passed through ``leaf`` when
+    one is given."""
+    leaf = leaf or (lambda a: a)
+    return {
         "kind": "matrix_algebra",
-        "ambient_dim": algebra.ambient_dim,
-        "basis": _pairs_to_json(algebra.basis),
-        "symmetry_unitary": _pairs_to_json(algebra.symmetry_unitary),
-        "odd_generator": None
-        if algebra.odd_generator_coords is None
-        else _pairs_to_json(np.reshape(algebra.odd_generator_coords, -1)),
+        "ambient_dim": len(symmetry_unitary),
+        "basis": [leaf(m) for m in basis],
+        "symmetry_unitary": leaf(symmetry_unitary),
+        "odd_generator": None if odd_generator is None else leaf(np.reshape(odd_generator, -1)),
     }
-    return out
+
+
+def algebra_to_instance_dict(algebra: KreinAlgebra) -> dict:
+    return _matrix_instance(
+        algebra.basis, algebra.symmetry_unitary, algebra.odd_generator_coords, _pairs_to_json
+    )
 
 
 def algebra_from_instance_dict(data, tol: float = DEFAULT_TOL) -> KreinAlgebra:

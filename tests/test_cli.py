@@ -24,6 +24,7 @@ from kreinalg import (
 )
 from kreinalg import cli
 from kreinalg.cli import main
+from kreinalg.finite_krein import _pairs_to_json
 
 
 def read_back(o):
@@ -427,7 +428,7 @@ class TestGen:
     def test_rejects_nonpositive_points(self, tmp_path):
         assert main(["gen", "--points", "0", "--out", str(tmp_path / "x.json")]) == 2
 
-    @pytest.mark.parametrize("points", [1, 2, 8, 24])
+    @pytest.mark.parametrize("points", [1, 2, 5, 8, 16, 24])
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_bytes_equal_json_dumps(self, tmp_path, points, conjugate):
         """The streamed file is the whole-document orjson text, and reads back
@@ -449,6 +450,25 @@ class TestGen:
         out = tmp_path / "big.json"
         assert main(["gen", "--points", str(10**7), "--conjugate", "--out", str(out)]) == 2
         assert "error: points: too large to build" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_conjugate_constructs_no_algebra(self, tmp_path, monkeypatch):
+        """gen writes the rotated closed form; verify validates it on load."""
+        out = tmp_path / "rot.json"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gen constructed an algebra")
+
+        monkeypatch.setattr(kreinalg.KreinAlgebra, "__init__", refuse)
+        assert main(["gen", "--points", "3", "--conjugate", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert main(["verify", "--input", str(out)]) == 0
+
+    def test_tol_below_unitarity_exits_2(self, tmp_path, capsys):
+        """--tol bounds ||Q^H Q - I||_2, which roundoff puts above 1e-17."""
+        out = tmp_path / "rot.json"
+        assert main(["gen", "--points", "3", "--conjugate", "--tol", "1e-17", "--out", str(out)]) == 2
+        assert "error: conjugating matrix is not unitary" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -519,6 +539,16 @@ class TestBadArgumentsAndFiles:
             assert main([a.format(**paths) for a in argv] + [flag, str(2**64)]) == 2
             assert f"error: {flag} must be less than 2**64" in capsys.readouterr().err
         assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("samples", [2**62, 2**64 - 1])
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_samples_too_large_to_draw_exits_2(self, tmp_path, good_instance, capsys, command, samples):
+        """numpy rejects these draw shapes before it allocates anything."""
+        report = tmp_path / "report.json"
+        argv = [command, "--input", str(good_instance), "--samples", str(samples), "--report", str(report)]
+        assert main(argv) == 2
+        assert f"error: --samples {samples} is too large to draw" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_largest_seed_is_echoed(self, tmp_path):
         report = tmp_path / "cells.json"
@@ -666,6 +696,13 @@ _json_values = st.recursive(
 )
 
 
+_complex_arrays = st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(
+    lambda spec: st.lists(
+        st.tuples(_floats, _floats), min_size=spec[0] ** spec[1], max_size=spec[0] ** spec[1]
+    ).map(lambda z: np.array([complex(*c) for c in z]).reshape((spec[0],) * spec[1]))
+)
+
+
 class TestJsonWriter:
     @given(_json_values)
     def test_bytes_equal_json_dumps(self, data):
@@ -674,6 +711,26 @@ class TestJsonWriter:
         text = b"".join(cli._pieces(data))
         assert text == orjson.dumps(data, option=cli._OPT)
         assert read_back(json.loads(text)) == read_back(data)
+
+    @given(
+        st.dictionaries(
+            st.text(_chars, max_size=3),
+            _complex_arrays | st.lists(_complex_arrays, max_size=3) | _scalars,
+            max_size=4,
+        )
+    )
+    def test_complex_arrays_are_written_as_pairs(self, data):
+        """A complex ndarray is written as its [re, im] pair lists would be."""
+
+        def as_pairs(o):
+            if isinstance(o, np.ndarray):
+                return _pairs_to_json(o)
+            if isinstance(o, list):
+                return [as_pairs(v) for v in o]
+            return o
+
+        expected = {k: as_pairs(v) for k, v in data.items()}
+        assert b"".join(cli._pieces(data)) == orjson.dumps(expected, option=cli._OPT)
 
     def test_no_path_formats_nothing(self, good_instance, monkeypatch):
         def refuse(*args):
