@@ -15,8 +15,9 @@ counterexample
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
 arguments or an unwritable output path, 3 spectral-theorem hypothesis
-failure.  Reports are RFC 8259 JSON, written by orjson, and deterministic
-in the input bytes and flags.
+failure.  Instances and reports are compact RFC 8259 JSON, written by
+orjson, and deterministic in the input bytes and flags; instances are read
+with any whitespace, so indented files load too.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class RunConfig:
         return self
 
 
-# numpy scalars too: counterexample cells carry numpy.float64, spelled as float
-_OPT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+# compact RFC 8259 text; numpy scalars too: counterexample cells carry
+# numpy.float64, spelled as float
+_OPT = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def _complex_pairs(o) -> list:
@@ -117,26 +119,23 @@ def _complex_pairs(o) -> list:
     raise TypeError(f"cannot write {type(o).__name__}")
 
 
-def _pieces(o, level: int = 0, depth: int = 2):
-    """The bytes of orjson.dumps(o, default=_complex_pairs, option=_OPT) for a
-    value nested `level` deep, in pieces: containers in the top `depth` levels
-    yield one piece per member, so a large value is never held whole.  Dict
-    keys must be strings."""
+def _pieces(o, depth: int = 2):
+    """The bytes of orjson.dumps(o, default=_complex_pairs, option=_OPT) in
+    pieces: containers in the top `depth` levels yield one piece per member,
+    so a large value is never held whole.  Dict keys must be strings."""
     if depth == 0 or not isinstance(o, (dict, list, tuple)) or not o:
-        text = orjson.dumps(o, default=_complex_pairs, option=_OPT)
-        yield text.replace(b"\n", b"\n" + b"  " * level)
+        yield orjson.dumps(o, default=_complex_pairs, option=_OPT)
         return
-    nl = b"\n" + b"  " * (level + 1)
     if isinstance(o, dict):
         opening, closing = b"{", b"}"
-        members = [(orjson.dumps(k) + b": ", v) for k, v in sorted(o.items())]
+        members = [(orjson.dumps(k) + b":", v) for k, v in sorted(o.items())]
     else:
         opening, closing = b"[", b"]"
         members = [(b"", v) for v in o]
     for i, (prefix, v) in enumerate(members):
-        yield (b"," if i else opening) + nl + prefix
-        yield from _pieces(v, level + 1, depth - 1)
-    yield nl[:-2] + closing
+        yield (b"," if i else opening) + prefix
+        yield from _pieces(v, depth - 1)
+    yield closing
 
 
 def _dump_json(data: dict, path: Path | None) -> bool:
@@ -246,12 +245,13 @@ def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
         return algebra_from_instance_dict(_read_json(cfg.input_path), tol=cfg.tol)
 
 
-def _drawable(cfg: RunConfig, algebra: KreinAlgebra) -> bool:
+def _drawable(cfg: RunConfig, dim: int) -> bool:
     """Whether numpy can hold the largest random draw of the sampled checks,
-    (samples, 2, dim) floats; if not, the error is printed, naming --samples.
-    A shape beyond numpy's size limit is rejected before anything is allocated."""
+    (samples, 2, dim) floats for an algebra of dimension dim; if not, the
+    error is printed, naming --samples.  A shape beyond numpy's size limit is
+    rejected before anything is allocated."""
     try:
-        np.empty((cfg.samples, 2, algebra.dim))
+        np.empty((cfg.samples, 2, dim))
     except (ValueError, MemoryError) as exc:
         print(f"error: --samples {cfg.samples} is too large to draw: {exc}", file=sys.stderr)
         return False
@@ -273,7 +273,7 @@ def run_verify(cfg: RunConfig) -> int:
     except (InstanceFormatError, AlgebraValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if not _drawable(cfg, algebra):
+    if not _drawable(cfg, algebra.dim):
         return EXIT_BAD_INPUT
 
     tol, samples, seed = cfg.tol, cfg.samples, cfg.seed
@@ -347,7 +347,7 @@ def run_spectrum(cfg: RunConfig) -> int:
     except (InstanceFormatError, AlgebraValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if not _drawable(cfg, algebra):
+    if not _drawable(cfg, algebra.dim):
         return EXIT_BAD_INPUT
 
     try:
@@ -404,6 +404,8 @@ def run_counterexample(cfg: RunConfig) -> int:
     (theta = 0, sign -1) is the unique fully passing cell.  Exit 1 when the
     computed landscape does not match.
     """
+    if not _drawable(cfg, 2):  # the deformed family is two-dimensional
+        return EXIT_BAD_INPUT
     cells = []
     passing = []
     pi_cells = []

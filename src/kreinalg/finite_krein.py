@@ -15,11 +15,14 @@ coordinates of any span member are its pivot entries times the inverse of
 the d x d block of the basis at those entries.  So the structure
 tensor (coordinates of every basis product) needs only the pivot entries
 (B_i B_j)[p_t, q_t] = B_i[p_t, :] B_j[:, q_t], in O(d^3 n) time, and no
-product is formed whole.  The pivot solve fits each product exactly on the
-pivots, so closure under products is certified off them, by Gaussian probe
-columns, in O(d^2 n^2 s) time for s = _PROBES.  ``dagger_coord``,
-``alpha_coord`` and ``coords_of_matrix`` keep a full span-membership
-residual.  The unit solves a 2d x d random sketch of its (2d^2, d) system,
+product is formed whole; ``dagger_coord`` and ``alpha_coord`` come from
+the pivot entries of B_j^H and U B_j U alike.  The pivot solve fits each
+image exactly on the pivots, so closure is certified off them: one seeded
+random combination of the basis fills the left slot of the products, or
+stands in for the basis under the adjoint and alpha, and Gaussian probe
+columns V test the defects in O(d n^2 s) time for s = _PROBES (Freivalds,
+1977).  ``coords_of_matrix`` keeps a full span-membership residual.  The
+unit solves a 2d x d random sketch of its (2d^2, d) system,
 u w_1 = w_1 and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson
 & Tropp, SIAM Rev. 53(2), 2011), in O(d^3); its backward error stays on the
 full system, and a sketched unit that fails it is solved again on the full
@@ -198,6 +201,12 @@ def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
     return _worst(np.linalg.norm(diff, axis=-1), np.linalg.norm(ref, axis=-1))
 
 
+def _probe_gap(image_V: np.ndarray, coords: np.ndarray, BV: np.ndarray) -> float:
+    """``_rel`` of a probed image M V (n x s) against the probed span member
+    of coordinates ``coords`` (sum_k coords_k B_k) V, with BV = B @ V."""
+    return _rel((image_V - np.tensordot(coords, BV, axes=1)).reshape(-1), image_V.reshape(-1))
+
+
 def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """``_rel`` of two sides given as coordinate columns, relative to ``lhs``."""
     return _rel((lhs - rhs).T, lhs.T)
@@ -337,16 +346,16 @@ class KreinAlgebra:
         when an operator norm falls back to a dense SVD (see ``op_norm``).
         Must be positive and finite.
 
-    Construction costs O(d^3 n + d^2 n^2 s) time for s = _PROBES, plus
-    O(d^2 n^2) for one QR factorisation of the vectorized basis and the
-    choice of the pivot entries, plus the unit: an O(d^3) sketch solve and
-    one O(d^4) Gram GEMM for its backward error (see ``_resolve_unit``).
-    ``product_closure``
-    is the worst ||E_ij V|| / max(1, ||B_i B_j V||) for the closure defects
-    E_ij of the basis products and seeded Gaussian probes V.  A nonzero
-    defect survives the probes almost surely; ||E_ij V||^2 estimates
-    ||E_ij||_F^2 without bias but is not a bound on it.  The adjoint and
-    alpha images keep a full span-membership residual over every entry.
+    Construction costs O(d^3 n + d n^2 s) time for s = _PROBES, plus
+    O(d^2 n^2) for one QR factorisation of the vectorized basis, the choice
+    of the pivot entries and the alpha images at them, plus the unit: an
+    O(d^3) sketch solve and one O(d^4) Gram GEMM for its backward error (see
+    ``_resolve_unit``).  The closure residuals are certificates with one
+    random slot and seeded Gaussian probes V: ``product_closure`` (see
+    ``_closure_residual``), and ``adjoint_closure`` and ``alpha_closure``,
+    ||Y^H V - R V|| / max(1, ||Y^H V||) and the same for U Y U, for a seeded
+    random span member Y and R the span member of the coordinates read off
+    the pivots.  A nonzero defect survives them almost surely.
     """
 
     def __init__(
@@ -405,24 +414,33 @@ class KreinAlgebra:
         if not r_invol <= tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
 
-        # seeds the closure probes and the norm frame: a function of the input alone
+        # seeds the certificates and the norm frame: a function of the input alone
         digest = hashlib.blake2b(repr(B.shape).encode(), digest_size=8)
         digest.update(np.ascontiguousarray(B))
         self._seed = int.from_bytes(digest.digest(), "little")
         self.structure = self._pivot_structure()
-        r_prod = self._closure_residual()
+        # Gaussian probe columns V, E||M V||_F^2 = ||M||_F^2, and the random slots
+        rng = np.random.default_rng(self._seed)
+        V = _random_coords(rng, n, _PROBES) / np.sqrt(_PROBES)
+        BV = B @ V  # (d, n, s)
+        x, y = _random_coords(rng, 2, d)
+        r_prod = self._closure_residual(x, BV)
         self.validation_residuals["product_closure"] = r_prod
         if not r_prod <= tol:
             raise AlgebraValidationError("basis span is not closed under multiplication")
 
-        adjoints, r_adj = self._batch_coords(B.conj().transpose(0, 2, 1))
-        self.dagger_coord = adjoints.T  # columns: image coords of basis vectors
+        # images of the basis at the pivots: B_j^H[p, q] = conj(B_j[q, p]) and
+        # (U B_j U)[p, q] = U[p, :] B_j U[:, q]; columns are image coordinates
+        p, q = np.divmod(piv, n)
+        Y = self.materialize(y)
+        self.dagger_coord = np.linalg.solve(self._block, np.conj(B[:, q, p]).T)
+        r_adj = _probe_gap(Y.conj().T @ V, self.dagger_coord @ np.conj(y), BV)
         self.validation_residuals["adjoint_closure"] = r_adj
         if not r_adj <= tol:
             raise AlgebraValidationError("basis span is not closed under adjoints")
 
-        images, r_alpha = self._batch_coords(U @ B @ U)
-        self.alpha_coord = images.T
+        self.alpha_coord = np.linalg.solve(self._block, np.einsum("jtb,bt->tj", U[p] @ B, U[:, q]))
+        r_alpha = _probe_gap(U @ (Y @ (U @ V)), self.alpha_coord @ y, BV)
         self.validation_residuals["alpha_closure"] = r_alpha
         if not r_alpha <= tol:
             raise AlgebraValidationError("symmetry does not preserve the basis span")
@@ -479,27 +497,23 @@ class KreinAlgebra:
         coords = np.linalg.solve(self._block, entries.reshape(d, d * d))  # (k, (i, j))
         return np.ascontiguousarray(coords.T).reshape(d, d, d)
 
-    def _closure_residual(self) -> float:
-        """Worst ||E_ij V|| / max(1, ||B_i B_j V||) over the defects
-        E_ij = B_i B_j - sum_k structure[i, j, k] B_k, for Gaussian probe columns V
-        (n x _PROBES) with E||X V||_F^2 = ||X||_F^2 (Freivalds, 1977).
+    def _closure_residual(self, x: np.ndarray, BV: np.ndarray) -> float:
+        """Worst ||sum_i x_i E_ij V|| / max(1, ||X B_j V||) over j, for the
+        closure defects E_ij = B_i B_j - sum_k structure[i, j, k] B_k, one
+        random combination X = sum_i x_i B_i in the left slot and Gaussian
+        probe columns V (n x _PROBES, BV = B @ V), E||M V||_F^2 = ||M||_F^2.
 
-        The pivot solve fits every E_ij to zero on the pivot entries, so only
-        the probes see a defect; a nonzero E_ij survives them almost surely.
-        V is seeded by a digest of the basis, so the residual is a function of
-        the input alone and no fixed probe can be aimed at.  O(d^2 n^2 _PROBES).
-        """
-        B, d, n = self.basis, self.dim, self.ambient_dim
-        rng = np.random.default_rng(self._seed)
-        BV = B @ (_random_coords(rng, n, _PROBES) / np.sqrt(_PROBES))  # (d, n, s)
+        The defect is linear in x, with expected square sum_i ||E_ij||_F^2,
+        so a nonzero E_ij survives the random slot and the probes almost
+        surely (Freivalds, 1977); the pivot solve fits it to zero on the
+        pivots, so only the probes see it.  x and V are seeded by a digest of
+        the basis: the residual is a function of the input alone and no fixed
+        probe can be aimed at.  O(d n^2 _PROBES + d^2 n _PROBES)."""
+        d, n = self.dim, self.ambient_dim
         BV_cols = BV.transpose(1, 0, 2).reshape(n, d * _PROBES)  # [B_1 V ... B_d V]
-        BV_rows = BV.reshape(d, n * _PROBES)
-        worst = 0.0
-        for i in range(d):
-            prods = (B[i] @ BV_cols).reshape(n, d, _PROBES).transpose(1, 0, 2).reshape(d, -1)
-            defect = prods - self.structure[i] @ BV_rows
-            worst = max(worst, _rel(defect, prods))
-        return worst
+        prods = (self.materialize(x) @ BV_cols).reshape(n, d, _PROBES).transpose(1, 0, 2).reshape(d, -1)
+        xS = (x @ self.structure.reshape(d, d * d)).reshape(d, d)
+        return _rel(prods - xS @ BV.reshape(d, -1), prods)
 
     def _sketched_unit(self) -> np.ndarray:
         """Least-squares solution of the 2d x d sketch u w_1 = w_1, w_2 u = w_2

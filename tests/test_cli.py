@@ -406,6 +406,19 @@ class TestReportStructure:
         assert [c["name"] for c in blob["checks"]] == names
         assert all(c["passed"] for c in blob["checks"])
 
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_indented_instance_gives_the_same_report(self, tmp_path, command):
+        """The reader takes any whitespace: the compact instance gen writes
+        and its json.dumps(indent=2) twin give byte-identical reports."""
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        assert main(["gen", "--points", "4", "--conjugate", "--out", str(compact)]) == 0
+        indented.write_text(json.dumps(json.loads(compact.read_text()), indent=2))
+        reports = []
+        for inst in (compact, indented):
+            reports.append(tmp_path / f"{inst.stem}-report.json")
+            assert main([command, "--input", str(inst), "--report", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path):
@@ -431,8 +444,9 @@ class TestGen:
     @pytest.mark.parametrize("points", [1, 2, 5, 8, 16, 24])
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_bytes_equal_json_dumps(self, tmp_path, points, conjugate):
-        """The streamed file is the whole-document orjson text, and reads back
-        to the instance's values, every float bitwise."""
+        """The streamed file is the whole-document orjson text, and reads back,
+        through json and through the CLI's reader, to the instance's values,
+        every float bitwise."""
         out = tmp_path / "inst.json"
         argv = ["gen", "--points", str(points), "--seed", "3", "--out", str(out)]
         assert main(argv + ["--conjugate"] * conjugate) == 0
@@ -445,6 +459,8 @@ class TestGen:
         text = out.read_bytes()
         assert text == orjson.dumps(data, option=cli._OPT) + b"\n"
         assert read_back(json.loads(text)) == read_back(data)
+        assert read_back(cli._read_json(out)) == read_back(data)
+        assert b"\n" not in text[:-1] and b" " not in text  # compact
 
     def test_unbuildable_points_exit_2(self, tmp_path, capsys):
         out = tmp_path / "big.json"
@@ -541,11 +557,13 @@ class TestBadArgumentsAndFiles:
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("samples", [2**62, 2**64 - 1])
-    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "counterexample"])
     def test_samples_too_large_to_draw_exits_2(self, tmp_path, good_instance, capsys, command, samples):
-        """numpy rejects these draw shapes before it allocates anything."""
+        """numpy rejects these draw shapes before it allocates anything;
+        counterexample rejects them before its sweep."""
         report = tmp_path / "report.json"
-        argv = [command, "--input", str(good_instance), "--samples", str(samples), "--report", str(report)]
+        source = ["--grid", "2"] if command == "counterexample" else ["--input", str(good_instance)]
+        argv = [command, *source, "--samples", str(samples), "--report", str(report)]
         assert main(argv) == 2
         assert f"error: --samples {samples} is too large to draw" in capsys.readouterr().err
         assert not report.exists()

@@ -313,6 +313,96 @@ class TestConstruction:
         assert m2_algebra.odd_basis.shape[1] == 0
 
 
+def rotated_function_algebra(points):
+    base = build_function_algebra(points)
+    return conjugate_algebra(base, random_unitary(base.ambient_dim, np.random.default_rng(3)))
+
+
+def _unit_norm(m):
+    return m / np.linalg.norm(m, 2)
+
+
+def bumped_structure_constant(alg, monkeypatch):
+    """alg's arrays, with construction made to read one structure constant
+    (B_1 B_0, odd times even) off by 1e-6."""
+    pivot_structure = KreinAlgebra._pivot_structure
+
+    def bumped(self):
+        s = pivot_structure(self)
+        s[1, 0, 1] += 1e-6
+        return s
+
+    monkeypatch.setattr(KreinAlgebra, "_pivot_structure", bumped)
+    return alg.basis, alg.symmetry_unitary
+
+
+def similar_basis(alg, monkeypatch):
+    """The basis conjugated by S = I + 1e-6 G, ||G||_2 = 1, with G commuting
+    with U: the span stays an algebra that U preserves, but S is not unitary,
+    so the span is no longer closed under adjoints."""
+    rng = np.random.default_rng(1)
+    n, U = alg.ambient_dim, alg.symmetry_unitary
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S = np.eye(n) + 1e-6 * _unit_norm(H + U @ H @ U)
+    return S @ alg.basis @ np.linalg.inv(S), U
+
+
+def turned_symmetry(alg, monkeypatch):
+    """U conjugated by W = exp(1e-6 i H), ||H||_2 = 1: still a unitary
+    involution, but it no longer preserves the span."""
+    rng = np.random.default_rng(1)
+    n = alg.ambient_dim
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(_unit_norm(H + H.conj().T))
+    W = (v * np.exp(1e-6j * w)) @ v.conj().T
+    return alg.basis, W @ alg.symmetry_unitary @ W.conj().T
+
+
+# defect -> (its construction inputs, the residual that sees it, the error)
+CERTIFICATE_DEFECTS = {
+    "structure-constant": (
+        bumped_structure_constant,
+        "product_closure",
+        "basis span is not closed under multiplication",
+    ),
+    "adjoint": (similar_basis, "adjoint_closure", "basis span is not closed under adjoints"),
+    "alpha": (turned_symmetry, "alpha_closure", "symmetry does not preserve the basis span"),
+}
+
+
+class TestCertificates:
+    """Closure, adjoint and alpha certificates: one random slot and probes."""
+
+    @pytest.mark.parametrize("points", [2, 8, 24])
+    @pytest.mark.parametrize("defect", list(CERTIFICATE_DEFECTS))
+    def test_rejects_a_1e_6_defect(self, monkeypatch, points, defect):
+        inputs, key, message = CERTIFICATE_DEFECTS[defect]
+        basis, sym = inputs(rotated_function_algebra(points), monkeypatch)
+        with pytest.raises(AlgebraValidationError, match=message):
+            KreinAlgebra(basis, sym)
+        # a loose tol lets construction finish and report the residual
+        resid = KreinAlgebra(basis, sym, tol=1e-2).validation_residuals
+        assert resid[key] >= 1e-8, resid
+
+    @pytest.mark.parametrize("points", [2, 8, 24])
+    def test_coordinates_match_the_full_span_solve(self, points):
+        alg = rotated_function_algebra(points)
+        B, U = alg.basis, alg.symmetry_unitary
+        adjoints, r_adj = alg._batch_coords(B.conj().transpose(0, 2, 1))
+        images, r_alpha = alg._batch_coords(U @ B @ U)
+        assert max(r_adj, r_alpha) <= 1e-13
+        assert np.max(np.abs(alg.dagger_coord - adjoints.T)) <= 1e-14
+        assert np.max(np.abs(alg.alpha_coord - images.T)) <= 1e-14
+
+    def test_validation_residuals_are_bitwise_reproducible(self):
+        alg = rotated_function_algebra(8)
+        first, second = (
+            {k: float.hex(v) for k, v in KreinAlgebra(alg.basis, alg.symmetry_unitary).validation_residuals.items()}
+            for _ in range(2)
+        )
+        assert first == second
+
+
 class TestGrading:
     def test_unit_is_even_generator_is_odd(self, fn3):
         assert fn3.unit.is_even(tol=1e-12)
