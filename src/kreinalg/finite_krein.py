@@ -26,23 +26,15 @@ unit solves a 2d x d random sketch of its (2d^2, d) system,
 u w_1 = w_1 and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson
 & Tropp, SIAM Rev. 53(2), 2011), in O(d^3); its backward error stays on the
 full system, and a sketched unit that fails it is solved again on the full
-system.  The checks compute with these; the one ambient cross-check is
-the operator norm of sampled products (and the spectrum of their Hermitian
-parts, for bimodule positivity).
+system.
 
-Those norms come from one unitary frame W, built on the first norm taken
-and cached: W diagonalizes the Hermitian part of a random span element
-seeded from the basis bytes, corrected to first order by a second one.  A
-commutative *-closed span is diagonalized by one unitary (Bunse-Gerstner,
-Byers & Mehrmann, SIAM J. Matrix Anal. Appl. 14(4), 1993), so the frame
-keeps the diagonals Delta[j, i] = (W^H B_j W)_ii and the Gram matrix G of
-the off-diagonal parts O_j, at O(d n^3) once.  A stack of s rows then costs
-one O(s d n) GEMM instead of s dense n x n SVDs: ||x|| = max_i |(c Delta)_i|
-moves by at most ||sum c_j O_j||_2 <= beta(c) = sqrt(Re c G c^*) (Weyl), and
-a row with beta(c) > 1e-3 tol ||x|| takes the dense SVD instead, as every
-row of a noncommutative algebra does.  The frame reads ``basis`` alone,
-never ``structure``, ``dagger_coord`` or ``alpha_coord``, so the ambient
-cross-check stays independent of the coordinate machinery it checks.
+The norm axioms hold for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0,
+||x x^dag|| = ||x^dag x||, the isometry of x -> e x for a unitary e and of an
+injective *-homomorphism.  A check of one of them can fail only where the
+coordinate data (``structure``, ``dagger_coord``, ``alpha_coord``) disagrees
+with the basis, which is what the closure certificates measure; so those
+checks report the certificates (``_certificates``), recomputed from the
+algebra's current attributes, and sample no ambient norm.
 
 Instance files store complex entries as [re, im] pairs.  A matrix is read
 by checking the types and lengths of its rows, pairs and leaves in C-level
@@ -65,7 +57,6 @@ import hashlib
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -249,6 +240,39 @@ def _interpolation_entries(frame: np.ndarray) -> np.ndarray:
     return piv
 
 
+def _certificates(algebra: "KreinAlgebra") -> tuple[float, float, float]:
+    """Closure certificates (product, adjoint, alpha) of the algebra's current
+    ``structure``, ``dagger_coord`` and ``alpha_coord`` against its basis.
+
+    Gaussian probe columns V (n x _PROBES, E||M V||_F^2 = ||M||_F^2) and two
+    random combinations x, y of the basis are drawn, in that order, from the
+    seed of the basis bytes, so each certificate is a function of the input
+    alone and no fixed probe can be aimed at.  product: the worst over j of
+    ||sum_i x_i E_ij V|| / max(1, ||X B_j V||) for the closure defects
+    E_ij = B_i B_j - sum_k structure[i, j, k] B_k and X = sum_i x_i B_i; the
+    defect is linear in x, so a nonzero E_ij survives the random slot and the
+    probes almost surely (Freivalds, 1977).  adjoint and alpha:
+    ||Y^H V - R V|| / max(1, ||Y^H V||) and the same for U Y U, for
+    Y = sum_j y_j B_j and R the span member of the image's coordinates.  The
+    pivot solve fits every image to zero on the pivots, so only the probes
+    see a defect.  O(d n^2 _PROBES + d^2 n _PROBES): on a 2-core host, 0.4 ms
+    for rotated N = 16 and 12 ms for N = 64."""
+    B, U, d, n = algebra.basis, algebra.symmetry_unitary, algebra.dim, algebra.ambient_dim
+    rng = np.random.default_rng(algebra._seed)
+    V = _random_coords(rng, n, _PROBES) / np.sqrt(_PROBES)
+    BV = B @ V  # (d, n, s)
+    x, y = _random_coords(rng, 2, d)
+    BV_cols = BV.transpose(1, 0, 2).reshape(n, d * _PROBES)  # [B_1 V ... B_d V]
+    prods = (algebra.materialize(x) @ BV_cols).reshape(n, d, _PROBES).transpose(1, 0, 2).reshape(d, -1)
+    xS = (x @ algebra.structure.reshape(d, d * d)).reshape(d, d)
+    Y = algebra.materialize(y)
+    return (
+        _rel(prods - xS @ BV.reshape(d, -1), prods),
+        _probe_gap(Y.conj().T @ V, algebra.dagger_coord @ np.conj(y), BV),
+        _probe_gap(U @ (Y @ (U @ V)), algebra.alpha_coord @ y, BV),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GradedElement:
     """Element of a :class:`KreinAlgebra`, stored as basis coordinates."""
@@ -342,20 +366,16 @@ class KreinAlgebra:
         ``check_odd_symmetry`` reports on them, so defective generators can
         be represented and diagnosed.
     tol : float
-        Relative residual bound for all construction validations; also sets
-        when an operator norm falls back to a dense SVD (see ``op_norm``).
-        Must be positive and finite.
+        Relative residual bound for all construction validations.  Must be
+        positive and finite.
 
     Construction costs O(d^3 n + d n^2 s) time for s = _PROBES, plus
     O(d^2 n^2) for one QR factorisation of the vectorized basis, the choice
     of the pivot entries and the alpha images at them, plus the unit: an
     O(d^3) sketch solve and one O(d^4) Gram GEMM for its backward error (see
-    ``_resolve_unit``).  The closure residuals are certificates with one
-    random slot and seeded Gaussian probes V: ``product_closure`` (see
-    ``_closure_residual``), and ``adjoint_closure`` and ``alpha_closure``,
-    ||Y^H V - R V|| / max(1, ||Y^H V||) and the same for U Y U, for a seeded
-    random span member Y and R the span member of the coordinates read off
-    the pivots.  A nonzero defect survives them almost surely.
+    ``_resolve_unit``).  The closure residuals ``product_closure``,
+    ``adjoint_closure`` and ``alpha_closure`` are the certificates of
+    ``_certificates``.
     """
 
     def __init__(
@@ -414,36 +434,28 @@ class KreinAlgebra:
         if not r_invol <= tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
 
-        # seeds the certificates and the norm frame: a function of the input alone
+        # seeds the certificates: a function of the input alone
         digest = hashlib.blake2b(repr(B.shape).encode(), digest_size=8)
         digest.update(np.ascontiguousarray(B))
         self._seed = int.from_bytes(digest.digest(), "little")
         self.structure = self._pivot_structure()
-        # Gaussian probe columns V, E||M V||_F^2 = ||M||_F^2, and the random slots
-        rng = np.random.default_rng(self._seed)
-        V = _random_coords(rng, n, _PROBES) / np.sqrt(_PROBES)
-        BV = B @ V  # (d, n, s)
-        x, y = _random_coords(rng, 2, d)
-        r_prod = self._closure_residual(x, BV)
-        self.validation_residuals["product_closure"] = r_prod
-        if not r_prod <= tol:
-            raise AlgebraValidationError("basis span is not closed under multiplication")
-
         # images of the basis at the pivots: B_j^H[p, q] = conj(B_j[q, p]) and
         # (U B_j U)[p, q] = U[p, :] B_j U[:, q]; columns are image coordinates
         p, q = np.divmod(piv, n)
-        Y = self.materialize(y)
         self.dagger_coord = np.linalg.solve(self._block, np.conj(B[:, q, p]).T)
-        r_adj = _probe_gap(Y.conj().T @ V, self.dagger_coord @ np.conj(y), BV)
-        self.validation_residuals["adjoint_closure"] = r_adj
-        if not r_adj <= tol:
-            raise AlgebraValidationError("basis span is not closed under adjoints")
-
         self.alpha_coord = np.linalg.solve(self._block, np.einsum("jtb,bt->tj", U[p] @ B, U[:, q]))
-        r_alpha = _probe_gap(U @ (Y @ (U @ V)), self.alpha_coord @ y, BV)
-        self.validation_residuals["alpha_closure"] = r_alpha
-        if not r_alpha <= tol:
-            raise AlgebraValidationError("symmetry does not preserve the basis span")
+        for key, resid, message in zip(
+            ("product_closure", "adjoint_closure", "alpha_closure"),
+            _certificates(self),
+            (
+                "basis span is not closed under multiplication",
+                "basis span is not closed under adjoints",
+                "symmetry does not preserve the basis span",
+            ),
+        ):
+            self.validation_residuals[key] = resid
+            if not resid <= tol:
+                raise AlgebraValidationError(message)
 
         # Krein involution x* = alpha(x^dag); coordinate matrices compose left to right
         self.star_coord = self.alpha_coord @ self.dagger_coord
@@ -496,24 +508,6 @@ class KreinAlgebra:
         entries = B[:, p, :].transpose(1, 0, 2) @ B[:, :, q].transpose(2, 1, 0)  # (t, i, j)
         coords = np.linalg.solve(self._block, entries.reshape(d, d * d))  # (k, (i, j))
         return np.ascontiguousarray(coords.T).reshape(d, d, d)
-
-    def _closure_residual(self, x: np.ndarray, BV: np.ndarray) -> float:
-        """Worst ||sum_i x_i E_ij V|| / max(1, ||X B_j V||) over j, for the
-        closure defects E_ij = B_i B_j - sum_k structure[i, j, k] B_k, one
-        random combination X = sum_i x_i B_i in the left slot and Gaussian
-        probe columns V (n x _PROBES, BV = B @ V), E||M V||_F^2 = ||M||_F^2.
-
-        The defect is linear in x, with expected square sum_i ||E_ij||_F^2,
-        so a nonzero E_ij survives the random slot and the probes almost
-        surely (Freivalds, 1977); the pivot solve fits it to zero on the
-        pivots, so only the probes see it.  x and V are seeded by a digest of
-        the basis: the residual is a function of the input alone and no fixed
-        probe can be aimed at.  O(d n^2 _PROBES + d^2 n _PROBES)."""
-        d, n = self.dim, self.ambient_dim
-        BV_cols = BV.transpose(1, 0, 2).reshape(n, d * _PROBES)  # [B_1 V ... B_d V]
-        prods = (self.materialize(x) @ BV_cols).reshape(n, d, _PROBES).transpose(1, 0, 2).reshape(d, -1)
-        xS = (x @ self.structure.reshape(d, d * d)).reshape(d, d)
-        return _rel(prods - xS @ BV.reshape(d, -1), prods)
 
     def _sketched_unit(self) -> np.ndarray:
         """Least-squares solution of the 2d x d sketch u w_1 = w_1, w_2 u = w_2
@@ -593,66 +587,15 @@ class KreinAlgebra:
     def odd_projection(self, coords) -> np.ndarray:
         return (coords - coords @ self.alpha_coord.T) / 2.0
 
-    @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals Delta (d x n) and off-diagonal Gram matrix G (d x d) of the
-        basis in one unitary frame W, from ``basis`` alone; built on first use.
-
-        W comes from eigh of the Hermitian part H_1 of a random span element.
-        Where two eigenvalues of H_1 nearly meet, W mixes their joint
-        eigenspaces by about eps ||H_1|| / gap, so a second random Hermitian
-        element H_2 corrects W to first order on each pair it separates
-        better (a gap above sqrt(eps) ||H_2||: smaller ones are one joint
-        eigenspace), and a QR makes W unitary again.  beta is computed in
-        the final frame, so the correction only decides how many rows need
-        the dense fallback.  O(d n^3) time and two (d, n, n) temporaries."""
-        rng = np.random.default_rng(self._seed)
-
-        def hermitian_element() -> np.ndarray:
-            m = self.materialize(_random_coords(rng, 1, self.dim)[0])
-            return m + m.conj().T
-
-        h, W = np.linalg.eigh(hermitian_element())
-        C = W.conj().T @ hermitian_element() @ W
-        c = np.diagonal(C).real
-        gap = c[None, :] - c[:, None]  # gap[i, k] = c_k - c_i
-        floor = np.sqrt(np.finfo(float).eps) * np.max(np.abs(c))
-        fix = np.abs(gap) > np.maximum(np.abs(h[None, :] - h[:, None]), floor)
-        # first-order eigenvectors of C: column k gains C[i, k] / (c_k - c_i) e_i
-        K = np.where(fix, C, 0) / np.where(fix, gap, 1)
-        W = np.linalg.qr(W + W @ K)[0]
-        T = W.conj().T @ self.basis @ W
-        n = self.ambient_dim
-        diag = np.diagonal(T, axis1=1, axis2=2).copy()
-        T[:, range(n), range(n)] = 0
-        off = T.reshape(self.dim, n * n)
-        return diag, off @ off.conj().T
-
-    def _frame_diagonal(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals (s, n) of W^H x W for coordinate rows (s, d), and the mask of
-        rows they do not certify: beta(c) > 1e-3 tol max_i |(c Delta)_i|, or NaN."""
-        diag, gram = self._frame
-        vals = rows @ diag
-        beta = np.sqrt(np.abs(np.sum((rows @ gram) * np.conj(rows), axis=-1)))
-        return vals, ~(beta <= 1e-3 * self.tol * np.max(np.abs(vals), axis=-1))
-
     def op_norm(self, coords) -> float | np.ndarray:
-        """Ambient operator norm; stacked rows give an array of norms.
-
-        A row c reads max_i |(c Delta)_i| off the cached frame (see the module
-        docstring) in O(d n) after the frame's one-off O(d n^3).  That value
-        is the norm up to the certified bound beta(c) = sqrt(Re c G c^*) >=
-        the off-diagonal part's ||.||_2; a row with beta(c) > 1e-3 tol ||x||
-        takes a dense SVD instead, so every returned norm is within 1e-3 tol
-        relative of the SVD's, plus roundoff.  A row with a NaN or infinite
-        coordinate reads NaN or inf: the SVD cannot take it."""
+        """Ambient operator norm, the largest singular value of the dense
+        matrix; stacked rows give an array of norms.  A row with a NaN or
+        infinite coordinate reads NaN: the SVD cannot take it."""
         c = np.asarray(coords, dtype=complex)
         rows = c.reshape(-1, self.dim)
-        vals, dense = self._frame_diagonal(rows)
-        norms = np.max(np.abs(vals), axis=-1)
-        dense &= np.isfinite(norms)
-        if dense.any():
-            norms[dense] = np.linalg.norm(self.materialize(rows[dense]), 2, axis=(-2, -1))
+        finite = np.isfinite(rows).all(axis=-1)
+        norms = np.full(len(rows), np.nan)
+        norms[finite] = np.linalg.norm(self.materialize(rows[finite]), 2, axis=(-2, -1))
         return norms.reshape(c.shape[:-1])[()]
 
     # -- element factories ----------------------------------------------------
@@ -855,8 +798,12 @@ def check_odd_symmetry(
     """Verify the supplied odd generator and the isometry of x -> e x.
 
     Checks e odd, e^2 = unit, e* = -e and the anticommutation of x -> e x
-    with alpha on the basis, then samples ||e x|| = ||x||.  With no generator
-    supplied the verdict reports existence as unknown.
+    with alpha on the basis.  With e odd, e* = alpha(e^dag) = -e gives
+    e^dag = e, so e^2 = 1 makes e unitary and ||e x|| = ||x|| holds wherever
+    the coordinates agree with the basis: ``isometric`` is the four tests
+    passing and the closure certificates (``_certificates``) within tol, and
+    ``max_residual`` covers all seven.  ``samples`` and ``seed`` are unused.
+    With no generator supplied the verdict reports existence as unknown.
     """
     e = algebra.odd_generator_coords
     if e is None:
@@ -883,42 +830,43 @@ def check_odd_symmetry(
     ]
     failures = tuple(message for r, message in tests if not r <= tol)
 
-    X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
-    nx = algebra.op_norm(X)
-    iso_resid = _worst(np.abs(algebra.op_norm(X @ eps.T) - nx), nx)
-    resid = float(np.max([r for r, _ in tests] + [iso_resid]))
-    isometric = iso_resid <= max(tol, 1e-12)
+    certificates = _certificates(algebra)
+    resid = float(np.max([r for r, _ in tests] + list(certificates)))
+    isometric = not failures and bool(np.max(certificates) <= tol)
 
     return OddSymmetryVerdict(not failures, isometric, resid, failures)
 
 
-# -- sampled identity checks ---------------------------------------------------
+# -- identity checks -----------------------------------------------------------
 
 
 def check_cstar_identity(
     algebra: KreinAlgebra, samples: int = 100, seed: int = 3, tol: float = DEFAULT_TOL
 ) -> CheckResult:
-    """C*-identity ||x^dag x|| = ||x||^2 for the associated involution."""
-    X = _random_coords(np.random.default_rng(seed), samples, algebra.dim)
-    lhs = algebra.op_norm(algebra.mul_coords(np.conj(X) @ algebra.dagger_coord.T, X))
-    nx2 = algebra.op_norm(X) ** 2
-    worst = _worst(np.abs(lhs - nx2), nx2)
+    """C*-identity ||x^dag x|| = ||x||^2 for the associated involution.  Every
+    matrix satisfies it, so it holds for the coordinates wherever ``structure``
+    and ``dagger_coord`` agree with the basis: the residual is the larger of the
+    product and adjoint certificates (``_certificates``).  ``samples`` and
+    ``seed`` are unused."""
+    worst = float(np.max(_certificates(algebra)[:2]))
     return CheckResult("cstar_identity", worst <= tol, worst)
 
 
 def _krein_from_cstar(algebra: KreinAlgebra, cstar: CheckResult, tol: float) -> CheckResult:
     """Krein identity from the C*-identity: alpha(x*) and x^dag have coordinates
     A star conj(x) and D conj(x), so A star = D gives ||alpha(x*) x|| = ||x^dag x||
-    for every x.  The residual is the larger of the C*-identity's and A star = D's."""
+    for every x.  The residual is the largest of the C*-identity's, the alpha
+    certificate and A star = D's."""
     cert = _gap(algebra.alpha_coord @ algebra.star_coord, algebra.dagger_coord)
-    worst = max(cstar.max_residual, cert)
+    worst = float(np.max([cstar.max_residual, _certificates(algebra)[2], cert]))
     return CheckResult("krein_identity", worst <= tol, worst)
 
 
 def check_krein_identity(
     algebra: KreinAlgebra, samples: int = 100, seed: int = 5, tol: float = DEFAULT_TOL
 ) -> CheckResult:
-    """Krein identity ||alpha(x*) x|| = ||x||^2: the C*-identity plus A star = D."""
+    """Krein identity ||alpha(x*) x|| = ||x||^2: the C*-identity plus A star = D
+    (see ``_krein_from_cstar``).  ``samples`` and ``seed`` are unused."""
     return _krein_from_cstar(algebra, check_cstar_identity(algebra, samples, seed, tol), tol)
 
 
@@ -947,9 +895,9 @@ def check_bimodule_axioms(
     on odd basis pairs.  Each identity is linear or antilinear in every slot,
     so a defect on some basis triple is a nonzero polynomial in the random
     coefficients and shows almost surely (Freivalds, 1977), in O(d^3) time
-    and O(d^2) memory.  Sampled on ambient matrices of coordinate products:
-    positivity of <x|x> and agreement of the two bimodule norms, both read
-    off the norm frame (``KreinAlgebra.op_norm``) with its dense fallback.
+    and O(d^2) memory.  Positivity of <x|x> = x^dag x and agreement of the two
+    bimodule norms, ||x x^dag|| = ||x^dag x||, hold for every matrix, so both
+    report the C*-identity's residual.  ``samples`` is unused.
     """
     eb, ob = algebra.even_basis, algebra.odd_basis
     m, k = eb.shape[1], ob.shape[1]
@@ -959,7 +907,6 @@ def check_bimodule_axioms(
     results: list[CheckResult] = []
     dob = _dag(algebra, ob)
     rng = np.random.default_rng(seed)
-    X = _random_coords(rng, samples, k) @ ob.T
     a, b = _random_coords(rng, 2, m) @ eb.T
     x, y = _random_coords(rng, 2, k) @ ob.T
     La, Lx, Ly, Ldx = (_left_mul(algebra, c) for c in (a, x, y, _dag(algebra, x)))
@@ -984,22 +931,9 @@ def check_bimodule_axioms(
     )
     results.append(CheckResult("bimodule_even_valued", worst_even <= tol, worst_even))
 
-    Xd = _dag(algebra, X.T).T
-    n_left = algebra.op_norm(algebra.mul_coords(X, Xd))
-    right = algebra.mul_coords(Xd, X)
-    n_right = algebra.op_norm(right)
-    # the Hermitian part's eigenvalues are Re(c Delta) within beta(c), by Weyl
-    vals, dense = algebra._frame_diagonal(right)
-    lo, hi = vals.real.min(axis=-1), vals.real.max(axis=-1)
-    if dense.any():
-        herm = algebra.materialize(right[dense])
-        herm += herm.conj().transpose(0, 2, 1)
-        ev = np.linalg.eigvalsh(herm / 2.0)
-        lo[dense], hi[dense] = ev[:, 0], ev[:, -1]
-    min_eig = float(np.min(lo / np.maximum(1.0, hi), initial=0.0))
-    norm_gap = _worst(np.abs(n_left - n_right), n_right)
-    results.append(CheckResult("bimodule_positivity", min_eig >= -tol, abs(min_eig)))
-    results.append(CheckResult("bimodule_norms_coincide", norm_gap <= tol, norm_gap))
+    closure = float(np.max(_certificates(algebra)[:2]))
+    results.append(CheckResult("bimodule_positivity", closure <= tol, closure))
+    results.append(CheckResult("bimodule_norms_coincide", closure <= tol, closure))
     return results
 
 

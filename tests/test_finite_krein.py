@@ -25,7 +25,6 @@ from kreinalg import (
     algebra_from_instance_dict,
     algebra_to_instance_dict,
     build_function_algebra,
-    character_kernel_ideal,
     check_bimodule_axioms,
     check_commutative_symmetric,
     check_cstar_identity,
@@ -35,15 +34,14 @@ from kreinalg import (
     check_krein_identity,
     check_odd_symmetry,
     conjugate_algebra,
-    even_characters,
     function_algebra_instance,
     k_norm,
     quotient_by_ideal,
     quotient_with_map,
     random_unitary,
-    verify_spectral_theorem,
 )
-from kreinalg.finite_krein import _matrix_from_json, _random_coords
+from kreinalg.cli import main
+from kreinalg.finite_krein import _certificates, _matrix_from_json
 
 
 def block_values(algebra, x):
@@ -484,115 +482,43 @@ class TestNorms:
                 conj3.element(coords).norm(), rel=1e-10
             )
 
-
-def svd_norms(alg, X):
-    return np.linalg.norm(alg.materialize(X), 2, axis=(-2, -1))
-
-
-def rotated(points, seed=5):
-    return conjugate_algebra(
-        build_function_algebra(points), random_unitary(2 * points, np.random.default_rng(seed))
-    )
+    def test_non_finite_row_reads_nan(self, conj3):
+        rows = np.ones((3, conj3.dim), dtype=complex)
+        rows[1, 2], rows[2, 0] = math.nan, math.inf
+        norms = conj3.op_norm(rows)
+        assert np.isfinite(norms[0]) and np.isnan(norms[1:]).all()
+        assert norms[0] == conj3.op_norm(rows[0]) == np.linalg.norm(conj3.materialize(rows[0]), 2)
 
 
-def doubled(alg):
-    """alg tensor I_2: every joint eigenspace has multiplicity 2."""
-    eye = np.eye(2)
-    return KreinAlgebra(
-        np.stack([np.kron(b, eye) for b in alg.basis]),
-        np.kron(alg.symmetry_unitary, eye),
-        odd_generator=alg.odd_generator_coords,
-    )
+class TestNormChecksReadCertificates:
+    """The norm identities that matrix arithmetic guarantees report the
+    closure certificates, recomputed from the algebra's current attributes."""
 
+    @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
+    def test_certificates_are_the_closure_residuals(self, request, fixture):
+        alg = request.getfixturevalue(fixture)
+        base = _certificates(alg)
+        keys = ("product_closure", "adjoint_closure", "alpha_closure")
+        want = [float.hex(alg.validation_residuals[k]) for k in keys]
+        assert [float.hex(r) for r in base] == want
+        for i, attr in enumerate(("structure", "dagger_coord", "alpha_coord")):
+            mutant = copy.copy(alg)
+            setattr(mutant, attr, 1.001 * getattr(alg, attr))
+            moved = _certificates(mutant)
+            # only the certificate of the altered attribute moves
+            assert moved[i] >= 1e-5, (attr, moved)
+            assert all(moved[j] == base[j] for j in range(3) if j != i), (attr, moved)
 
-def kernel_quotient(alg):
-    return quotient_by_ideal(alg, character_kernel_ideal(alg, even_characters(alg)[0]))
-
-
-class TestNormFrame:
-    """op_norm reads the cached frame's diagonals and falls back to a dense
-    SVD on rows its bound beta does not certify."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda r: r.getfixturevalue("fn3"),
-            lambda r: r.getfixturevalue("conj3"),
-            lambda r: r.getfixturevalue("mixed_function_algebra")(4, 4)[0],
-            lambda r: r.getfixturevalue("mixed_function_algebra")(4, 6)[0],
-            lambda r: doubled(rotated(3)),
-            lambda r: kernel_quotient(r.getfixturevalue("conj3")),
-        ],
-        ids=["fn3", "conj3", "mixed-cond1e4", "mixed-cond1e6", "rotated3-x-I2", "kernel-quotient"],
-    )
-    def test_matches_dense_svd(self, request, make):
-        alg = make(request)
-        X = np.random.default_rng(21).standard_normal((40, alg.dim, 2)) @ [1.0, 1j]
-        want = svd_norms(alg, X)
-        assert np.max(np.abs(alg.op_norm(X) - want) / want) <= 1e-13
-        assert alg.op_norm(X[0]) == pytest.approx(want[0], rel=1e-13)
-        # both sides of the unit and of products x^dag x round at the scale
-        # sum_j |c_j| ||B_j||, up to 1e5 times the norm in the cond-1e6 frame
-        P = np.vstack([alg.unit_coords, alg.mul_coords(np.conj(X) @ alg.dagger_coord.T, X)])
-        scale = np.abs(P) @ np.linalg.norm(alg.basis, 2, axis=(1, 2))
-        assert np.max(np.abs(alg.op_norm(P) - svd_norms(alg, P)) / scale) <= 1e-13
-        assert not alg._frame_diagonal(X)[1].any()
-
-    def test_no_row_goes_dense_on_rotated_n8(self, monkeypatch):
-        alg = rotated(8)
-        alg.op_norm(alg.unit_coords)  # build the frame, which materializes two elements
+    def test_cli_takes_no_ambient_norm(self, tmp_path, monkeypatch):
+        inst = str(tmp_path / "rotated8.json")
+        assert main(["gen", "--points", "8", "--conjugate", "--out", inst]) == 0
 
         def refuse(*args):
-            raise AssertionError("a norm row went dense")
+            raise AssertionError("an ambient operator norm was taken")
 
-        monkeypatch.setattr(alg, "materialize", refuse)
-        assert check_cstar_identity(alg).passed
-        assert all(r.passed for r in check_bimodule_axioms(alg))
-        verdict = check_odd_symmetry(alg)
-        assert verdict.exists and verdict.isometric
-        assert verify_spectral_theorem(alg, samples=20).passed
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_corrected_frame_keeps_beta_at_roundoff(self, seed):
-        # eigh of one element alone leaves beta at 8.6e-14 to 1.0e-12 of ||x||
-        # on these frames, up to the 1e-12 cut of the default tol
-        alg = rotated(16, seed)
-        X = np.random.default_rng(3).standard_normal((50, alg.dim, 2)) @ [1.0, 1j]
-        diag, gram = alg._frame
-        beta = np.sqrt(np.abs(np.sum((X @ gram) * np.conj(X), axis=-1)))
-        assert np.max(beta / svd_norms(alg, X)) <= 4e-14
-
-    def test_noncommutative_rows_all_go_dense(self, m2_algebra):
-        X = np.random.default_rng(22).standard_normal((30, 4, 2)) @ [1.0, 1j]
-        assert m2_algebra._frame_diagonal(X)[1].all()
-        assert np.array_equal(m2_algebra.op_norm(X), svd_norms(m2_algebra, X))
-
-    @pytest.mark.parametrize("graded", [False, True], ids=["conj3", "m2-graded"])
-    def test_bimodule_positivity_matches_eigvalsh(self, conj3, m2_algebra, graded):
-        # M_2 graded by diag(1, -1) is noncommutative, with odd part span{E12, E21};
-        # the negated structure makes every <x|x> negative, as in MUTANTS
-        alg = KreinAlgebra(m2_algebra.basis, np.diag([1.0, -1.0])) if graded else conj3
-        mutant = copy.copy(alg)
-        mutant.structure = -alg.structure
-        samples, seed = 20, 13
-        X = _random_coords(np.random.default_rng(seed), samples, alg.odd_basis.shape[1])
-        X = X @ alg.odd_basis.T
-        right = alg.materialize(mutant.mul_coords(np.conj(X) @ alg.dagger_coord.T, X))
-        ev = np.linalg.eigvalsh((right + right.conj().transpose(0, 2, 1)) / 2.0)
-        want = abs(np.min(ev[:, 0] / np.maximum(1.0, ev[:, -1])))
-        results = check_bimodule_axioms(mutant, samples=samples, seed=seed)
-        got = next(r for r in results if r.name == "bimodule_positivity")
-        assert not got.passed and got.max_residual == pytest.approx(want, rel=1e-12)
-        assert all(r.passed for r in check_bimodule_axioms(alg, samples=samples, seed=seed))
-
-    def test_frame_reads_only_the_basis(self, conj3):
-        blind = copy.copy(conj3)
-        blind.__dict__.pop("_frame", None)
-        for attr in ("structure", "dagger_coord", "alpha_coord", "star_coord", "unit_coords"):
-            setattr(blind, attr, None)
-        diag, gram = blind._frame
-        assert diag.shape == (conj3.dim, conj3.ambient_dim)
-        assert gram.shape == (conj3.dim, conj3.dim)
+        monkeypatch.setattr(KreinAlgebra, "op_norm", refuse)
+        assert main(["verify", "--input", inst]) == 0
+        assert main(["spectrum", "--input", inst]) == 0
 
 
 class TestInnerProducts:
@@ -727,12 +653,41 @@ def sparse_defect(alg):
     return s
 
 
-# (check name, check, altered structure) beyond one mutant per check: a defect
-# in a single triple that random probes must still see, and the C*-identity
-# mutant, which the Krein identity's own sampled pass must catch
+def scaled_adjoint(alg):
+    return 1.001 * alg.dagger_coord
+
+
+def named_result(check, alg, name):
+    out = check(alg)
+    return next(r for r in (out if isinstance(out, list) else [out]) if r.name == name)
+
+
+# (check name, check, altered attribute, its altered value) beyond one mutant
+# per check: a defect in a single triple that random probes must still see;
+# the C*-identity mutant, which the Krein identity must catch through the
+# C*-identity's residual; and, since no MUTANTS entry alters dagger_coord, an
+# adjoint mutant that the adjoint certificate alone must carry
 MORE_MUTANTS = {
-    "imprimitivity-sparse": ("imprimitivity", check_imprimitivity, sparse_defect),
-    "krein_identity-doubled": ("krein_identity", check_krein_identity, lambda a: 2.0 * a.structure),
+    "imprimitivity-sparse": ("imprimitivity", check_imprimitivity, "structure", sparse_defect),
+    "krein_identity-doubled": (
+        "krein_identity",
+        check_krein_identity,
+        "structure",
+        lambda a: 2.0 * a.structure,
+    ),
+    "cstar_identity-adjoint": ("cstar_identity", check_cstar_identity, "dagger_coord", scaled_adjoint),
+    "bimodule_positivity-adjoint": (
+        "bimodule_positivity",
+        check_bimodule_axioms,
+        "dagger_coord",
+        scaled_adjoint,
+    ),
+    "bimodule_norms_coincide-adjoint": (
+        "bimodule_norms_coincide",
+        check_bimodule_axioms,
+        "dagger_coord",
+        scaled_adjoint,
+    ),
 }
 
 
@@ -744,24 +699,18 @@ class TestMutations:
         check, attr, altered = MUTANTS[name]
         mutant = copy.copy(alg)
         setattr(mutant, attr, altered(alg))
-
-        def verdict(a):
-            out = check(a)
-            return next(r for r in (out if isinstance(out, list) else [out]) if r.name == name)
-
-        assert verdict(alg).passed
-        assert not verdict(mutant).passed, verdict(mutant)
+        assert named_result(check, alg, name).passed
+        assert not named_result(check, mutant, name).passed, named_result(check, mutant, name)
 
     @pytest.mark.parametrize("fixture", ["fn3", "conj3"])
     @pytest.mark.parametrize("case", list(MORE_MUTANTS))
     def test_check_fails_on_more_mutants(self, request, fixture, case):
         alg = request.getfixturevalue(fixture)
-        name, check, altered = MORE_MUTANTS[case]
+        name, check, attr, altered = MORE_MUTANTS[case]
         mutant = copy.copy(alg)
-        mutant.structure = altered(alg)
-        assert check(alg).passed
-        result = check(mutant)
-        assert result.name == name and not result.passed, result
+        setattr(mutant, attr, altered(alg))
+        assert named_result(check, alg, name).passed
+        assert not named_result(check, mutant, name).passed, named_result(check, mutant, name)
 
 
 class TestQuotients:
