@@ -25,6 +25,7 @@ from kreinalg import (
     algebra_from_instance_dict,
     algebra_to_instance_dict,
     build_function_algebra,
+    character_kernel_ideal,
     check_bimodule_axioms,
     check_commutative_symmetric,
     check_cstar_identity,
@@ -34,6 +35,7 @@ from kreinalg import (
     check_krein_identity,
     check_odd_symmetry,
     conjugate_algebra,
+    even_characters,
     function_algebra_instance,
     k_norm,
     quotient_by_ideal,
@@ -490,6 +492,37 @@ class TestNorms:
         assert norms[0] == conj3.op_norm(rows[0]) == np.linalg.norm(conj3.materialize(rows[0]), 2)
 
 
+def rotated(points, seed=5):
+    return conjugate_algebra(
+        build_function_algebra(points), random_unitary(2 * points, np.random.default_rng(seed))
+    )
+
+
+def doubled(alg):
+    """alg tensor I_2: every joint eigenspace has multiplicity 2."""
+    eye = np.eye(2)
+    return KreinAlgebra(
+        np.stack([np.kron(b, eye) for b in alg.basis]),
+        np.kron(alg.symmetry_unitary, eye),
+        odd_generator=alg.odd_generator_coords,
+    )
+
+
+def kernel_quotient(alg):
+    return quotient_by_ideal(alg, character_kernel_ideal(alg, even_characters(alg)[0]))
+
+
+def m2_graded(m2_algebra):
+    """M_2 graded by diag(1, -1): noncommutative, with odd part span{E12, E21}."""
+    return KreinAlgebra(m2_algebra.basis, np.diag([1.0, -1.0]))
+
+
+def inner_products_of(alg, X):
+    """Coordinates of <x|x> = x^dag x and x x^dag, through structure and dagger_coord."""
+    dX = np.conj(X) @ alg.dagger_coord.T
+    return alg.mul_coords(dX, X), alg.mul_coords(X, dX)
+
+
 class TestNormChecksReadCertificates:
     """The norm identities that matrix arithmetic guarantees report the
     closure certificates, recomputed from the algebra's current attributes."""
@@ -508,6 +541,63 @@ class TestNormChecksReadCertificates:
             # only the certificate of the altered attribute moves
             assert moved[i] >= 1e-5, (attr, moved)
             assert all(moved[j] == base[j] for j in range(3) if j != i), (attr, moved)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: r.getfixturevalue("fn3"),
+            lambda r: r.getfixturevalue("conj3"),
+            lambda r: r.getfixturevalue("mixed_function_algebra")(4, 4)[0],
+            lambda r: r.getfixturevalue("mixed_function_algebra")(4, 6)[0],
+            lambda r: doubled(rotated(3)),
+            lambda r: kernel_quotient(r.getfixturevalue("conj3")),
+            lambda r: m2_graded(r.getfixturevalue("m2_algebra")),
+        ],
+        ids=[
+            "fn3",
+            "conj3",
+            "mixed-cond1e4",
+            "mixed-cond1e6",
+            "rotated3-x-I2",
+            "kernel-quotient",
+            "m2-graded",
+        ],
+    )
+    def test_passing_certificates_carry_the_ambient_identities(self, request, make):
+        # where the checks pass on their certificates, the identities they stand
+        # for hold on sampled coordinates through structure and dagger_coord, up to
+        # roundoff at the scale sum_j |c_j| ||B_j|| times the basis's conditioning
+        alg = make(request)
+        assert check_cstar_identity(alg).passed
+        for name in ("bimodule_positivity", "bimodule_norms_coincide"):
+            assert named_result(check_bimodule_axioms, alg, name).passed
+        norms = np.linalg.norm(alg.basis, 2, axis=(1, 2))
+        bound = 1e-13 * np.linalg.cond(alg.basis.reshape(alg.dim, -1))
+        X = np.random.default_rng(21).standard_normal((40, alg.dim, 2)) @ [1.0, 1j]
+        P = inner_products_of(alg, X)[0]
+        cstar = np.abs(alg.op_norm(P) - alg.op_norm(X) ** 2) / (np.abs(P) @ norms)
+        assert np.max(cstar) <= bound
+        odd = X[:, : alg.odd_basis.shape[1]] @ alg.odd_basis.T
+        left, right = inner_products_of(alg, odd)
+        scale = np.maximum(np.abs(left) @ norms, np.abs(right) @ norms)
+        M = alg.materialize(left)
+        lowest = np.linalg.eigvalsh((M + M.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+        assert np.max(-lowest / scale) <= bound
+        assert np.max(np.abs(alg.op_norm(left) - alg.op_norm(right)) / scale) <= bound
+
+    @pytest.mark.parametrize("graded", [False, True], ids=["conj3", "m2-graded"])
+    def test_negated_structure_fails_positivity_and_is_negative(self, conj3, m2_algebra, graded):
+        # the negated structure makes every <x|x> negative in fact, as in MUTANTS;
+        # the check sees it through the product certificate alone
+        alg = m2_graded(m2_algebra) if graded else conj3
+        mutant = copy.copy(alg)
+        mutant.structure = -alg.structure
+        X = np.random.default_rng(13).standard_normal((20, alg.odd_basis.shape[1], 2)) @ [1.0, 1j]
+        M = alg.materialize(inner_products_of(mutant, X @ alg.odd_basis.T)[0])
+        assert np.all(np.linalg.eigvalsh((M + M.conj().transpose(0, 2, 1)) / 2.0)[:, -1] < 0)
+        assert named_result(check_bimodule_axioms, alg, "bimodule_positivity").passed
+        got = named_result(check_bimodule_axioms, mutant, "bimodule_positivity")
+        assert not got.passed and got.max_residual == _certificates(mutant)[0]
 
     def test_cli_takes_no_ambient_norm(self, tmp_path, monkeypatch):
         inst = str(tmp_path / "rotated8.json")
