@@ -48,12 +48,12 @@ from .finite_krein import (
     check_decomposition,
     check_full,
     check_imprimitivity,
+    check_krein_identity,
     check_odd_symmetry,
     function_algebra_instance,
     random_unitary,
     _conjugated,
     _function_algebra_arrays,
-    _krein_from_cstar,
     _matrix_instance,
     _pairs_to_json,
 )
@@ -246,10 +246,12 @@ def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
 
 
 def _drawable(cfg: RunConfig, dim: int) -> bool:
-    """Whether numpy can hold the largest random draw of the sampled checks,
-    (samples, 2, dim) floats for an algebra of dimension dim; if not, the
-    error is printed, naming --samples.  A shape beyond numpy's size limit is
-    rejected before anything is allocated."""
+    """Whether numpy can hold (samples, 2, dim) floats, the random draw of
+    ``counterexample`` for an algebra of dimension dim; if not, the error is
+    printed, naming --samples.  Only ``counterexample`` draws samples;
+    ``verify`` and ``spectrum`` accept and echo --samples and reject the same
+    values.  A shape beyond numpy's size limit is rejected before anything is
+    allocated."""
     try:
         np.empty((cfg.samples, 2, dim))
     except (ValueError, MemoryError) as exc:
@@ -276,17 +278,18 @@ def run_verify(cfg: RunConfig) -> int:
     if not _drawable(cfg, algebra.dim):
         return EXIT_BAD_INPUT
 
-    tol, samples, seed = cfg.tol, cfg.samples, cfg.seed
-    checks: list[CheckResult] = []
+    tol = cfg.tol
     construction = max(
         v for k, v in algebra.validation_residuals.items() if k != "basis_independence"
     )
-    checks.append(CheckResult("construction", construction <= tol, construction))
-    cstar = check_cstar_identity(algebra, samples, seed, tol)
-    checks += [cstar, _krein_from_cstar(algebra, cstar, tol)]
-    checks.append(check_decomposition(algebra, samples, seed + 2, tol))
-    checks.extend(check_bimodule_axioms(algebra, samples, seed + 3, tol))
-    checks.append(check_imprimitivity(algebra, samples, seed + 4, tol))
+    checks = [
+        CheckResult("construction", construction <= tol, construction),
+        check_cstar_identity(algebra, tol=tol),
+        check_krein_identity(algebra, tol=tol),
+        check_decomposition(algebra, tol=tol),
+        *check_bimodule_axioms(algebra, tol=tol),
+        check_imprimitivity(algebra, tol=tol),
+    ]
 
     full = check_full(algebra, tol)
     dim_even = algebra.even_basis.shape[1]
@@ -305,7 +308,7 @@ def run_verify(cfg: RunConfig) -> int:
         )
     )
 
-    ov = check_odd_symmetry(algebra, samples, seed + 5, tol)
+    ov = check_odd_symmetry(algebra, tol=tol)
     if ov.absent:
         checks.append(
             CheckResult(
@@ -330,8 +333,8 @@ def run_verify(cfg: RunConfig) -> int:
     report = {
         "command": "verify",
         "tol": tol,
-        "seed": seed,
-        "samples": samples,
+        "seed": cfg.seed,
+        "samples": cfg.samples,
         "checks": [c.to_dict() for c in checks],
         "passed": passed,
     }
@@ -351,7 +354,7 @@ def run_spectrum(cfg: RunConfig) -> int:
         return EXIT_BAD_INPUT
 
     try:
-        report = verify_spectral_theorem(algebra, cfg.samples, cfg.seed, cfg.tol)
+        report = verify_spectral_theorem(algebra, seed=cfg.seed, tol=cfg.tol)
     except SpectralHypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         error = {"hypothesis": exc.hypothesis, "message": str(exc)}
@@ -484,7 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
         p.add_argument("--seed", type=int, default=42, help="RNG seed")
-        p.add_argument("--samples", type=int, default=100, help="random samples per check")
+        p.add_argument(
+            "--samples",
+            type=int,
+            default=100,
+            help="random element pairs per theta cell of counterexample "
+            "(verify and spectrum accept and echo it)",
+        )
 
     p = sub.add_parser("verify", help="run axiom checks on an instance file")
     p.add_argument("--input", required=True, type=Path)

@@ -28,13 +28,17 @@ u w_1 = w_1 and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson
 full system, and a sketched unit that fails it is solved again on the full
 system.
 
-The norm axioms hold for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0,
-||x x^dag|| = ||x^dag x||, the isometry of x -> e x for a unitary e and of an
-injective *-homomorphism.  A check of one of them can fail only where the
-coordinate data (``structure``, ``dagger_coord``, ``alpha_coord``) disagrees
-with the basis, which is what the closure certificates measure; so those
-checks report the certificates (``_certificates``), recomputed from the
-algebra's current attributes, and sample no ambient norm.
+The axiom checks are theorems of matrix arithmetic.  The norm axioms hold
+for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0, ||x x^dag|| =
+||x^dag x||, the isometry of x -> e x for a unitary e and of an injective
+*-homomorphism.  So do the algebraic ones: products of matrices associate,
+(x^dag)^dag = x, and U^2 = I makes alpha = Ad U an involutive automorphism.
+A check of any of them can fail only where the coordinate data
+(``structure``, ``dagger_coord``, ``alpha_coord``) disagrees with the basis,
+which is what the closure certificates measure; so those checks report the
+certificates (``_certificates``) they follow from, recomputed from the
+algebra's current attributes.  The Krein involution's matrix ``star_coord``
+is derived from ``alpha_coord`` and ``dagger_coord``, never stored.
 
 Instance files store complex entries as [re, im] pairs.  A matrix is read
 by checking the types and lengths of its rows, pairs and leaves in C-level
@@ -171,11 +175,6 @@ def _left_mul(algebra: "KreinAlgebra", c: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", c, algebra.structure)
 
 
-def _right_mul(algebra: "KreinAlgebra", c: np.ndarray) -> np.ndarray:
-    """Matrix of x -> x c on coordinates; column i holds the coordinates of B_i c."""
-    return np.einsum("j,ijk->ki", c, algebra.structure)
-
-
 def _random_coords(rng: np.random.Generator, samples: int, k: int) -> np.ndarray:
     """Rows of standard complex Gaussian coordinates (real, then imaginary part per row)."""
     z = rng.standard_normal((samples, 2, k))
@@ -196,11 +195,6 @@ def _probe_gap(image_V: np.ndarray, coords: np.ndarray, BV: np.ndarray) -> float
     """``_rel`` of a probed image M V (n x s) against the probed span member
     of coordinates ``coords`` (sum_k coords_k B_k) V, with BV = B @ V."""
     return _rel((image_V - np.tensordot(coords, BV, axes=1)).reshape(-1), image_V.reshape(-1))
-
-
-def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """``_rel`` of two sides given as coordinate columns, relative to ``lhs``."""
-    return _rel((lhs - rhs).T, lhs.T)
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
@@ -457,9 +451,6 @@ class KreinAlgebra:
             if not resid <= tol:
                 raise AlgebraValidationError(message)
 
-        # Krein involution x* = alpha(x^dag); coordinate matrices compose left to right
-        self.star_coord = self.alpha_coord @ self.dagger_coord
-
         self.unit_coords, r_unit = self._resolve_unit(unit_coords)
         self.validation_residuals["unit"] = r_unit
         if not r_unit <= tol:
@@ -484,6 +475,13 @@ class KreinAlgebra:
                     f"odd_generator needs {d} coordinates, got {e.shape}"
                 )
             self.odd_generator_coords = e
+
+    @property
+    def star_coord(self) -> np.ndarray:
+        """Matrix of the Krein involution x* = alpha(x^dag) on conjugated
+        coordinates, A D for A = ``alpha_coord`` and D = ``dagger_coord``;
+        derived on each read, so it cannot disagree with them."""
+        return self.alpha_coord @ self.dagger_coord
 
     # -- coordinate plumbing ------------------------------------------------
 
@@ -789,12 +787,7 @@ class OddSymmetryVerdict:
         return self.exists is None
 
 
-def check_odd_symmetry(
-    algebra: KreinAlgebra,
-    samples: int = 50,
-    seed: int = 11,
-    tol: float = DEFAULT_TOL,
-) -> OddSymmetryVerdict:
+def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> OddSymmetryVerdict:
     """Verify the supplied odd generator and the isometry of x -> e x.
 
     Checks e odd, e^2 = unit, e* = -e and the anticommutation of x -> e x
@@ -802,8 +795,8 @@ def check_odd_symmetry(
     e^dag = e, so e^2 = 1 makes e unitary and ||e x|| = ||x|| holds wherever
     the coordinates agree with the basis: ``isometric`` is the four tests
     passing and the closure certificates (``_certificates``) within tol, and
-    ``max_residual`` covers all seven.  ``samples`` and ``seed`` are unused.
-    With no generator supplied the verdict reports existence as unknown.
+    ``max_residual`` covers all seven.  With no generator supplied the
+    verdict reports existence as unknown.
     """
     e = algebra.odd_generator_coords
     if e is None:
@@ -840,117 +833,72 @@ def check_odd_symmetry(
 # -- identity checks -----------------------------------------------------------
 
 
-def check_cstar_identity(
-    algebra: KreinAlgebra, samples: int = 100, seed: int = 3, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def _certified(name: str, certificates, tol: float) -> CheckResult:
+    """The check ``name`` as the largest of the certificates it follows from;
+    a NaN certificate fails it."""
+    worst = float(np.max(certificates))
+    return CheckResult(name, worst <= tol, worst)
+
+
+def check_cstar_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
     """C*-identity ||x^dag x|| = ||x||^2 for the associated involution.  Every
     matrix satisfies it, so it holds for the coordinates wherever ``structure``
     and ``dagger_coord`` agree with the basis: the residual is the larger of the
-    product and adjoint certificates (``_certificates``).  ``samples`` and
-    ``seed`` are unused."""
-    worst = float(np.max(_certificates(algebra)[:2]))
-    return CheckResult("cstar_identity", worst <= tol, worst)
+    product and adjoint certificates (``_certificates``)."""
+    return _certified("cstar_identity", _certificates(algebra)[:2], tol)
 
 
-def _krein_from_cstar(algebra: KreinAlgebra, cstar: CheckResult, tol: float) -> CheckResult:
-    """Krein identity from the C*-identity: alpha(x*) and x^dag have coordinates
-    A star conj(x) and D conj(x), so A star = D gives ||alpha(x*) x|| = ||x^dag x||
-    for every x.  The residual is the largest of the C*-identity's, the alpha
-    certificate and A star = D's."""
-    cert = _gap(algebra.alpha_coord @ algebra.star_coord, algebra.dagger_coord)
-    worst = float(np.max([cstar.max_residual, _certificates(algebra)[2], cert]))
-    return CheckResult("krein_identity", worst <= tol, worst)
+def check_krein_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Krein identity ||alpha(x*) x|| = ||x||^2.  With ``star_coord`` = A D,
+    alpha(x*) has coordinates A^2 D conj(x), which is x^dag once A^2 = I
+    (``check_decomposition``); the identity is then the C*-identity.  The
+    residual is max(C*-identity, decomposition): all three certificates."""
+    return _certified("krein_identity", _certificates(algebra), tol)
 
 
-def check_krein_identity(
-    algebra: KreinAlgebra, samples: int = 100, seed: int = 5, tol: float = DEFAULT_TOL
-) -> CheckResult:
-    """Krein identity ||alpha(x*) x|| = ||x||^2: the C*-identity plus A star = D
-    (see ``_krein_from_cstar``).  ``samples`` and ``seed`` are unused."""
-    return _krein_from_cstar(algebra, check_cstar_identity(algebra, samples, seed, tol), tol)
+def check_decomposition(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Grading: x = x_+ + x_- with alpha(x_+-) = +-x_+-.  With A = ``alpha_coord``,
+    x_+- = (x +- A x)/2 sum to x identically and alpha(x_+-) -+ x_+- =
+    +-(A^2 - I) x / 2.  A^2 is Ad U^2 = id wherever A agrees with the basis,
+    since construction certifies U^2 = I (``symmetry_involution``): the
+    residual is the alpha certificate."""
+    return _certified("decomposition", _certificates(algebra)[2:], tol)
 
 
-def check_decomposition(
-    algebra: KreinAlgebra, samples: int = 100, seed: int = 7, tol: float = DEFAULT_TOL
-) -> CheckResult:
-    """Grading: x = x_+ + x_- with alpha(x_+-) = +-x_+-, as A^2 = I on the basis.
-    With A = ``alpha_coord``, x_+- = (x +- A x)/2 sum to x identically and
-    alpha(x_+-) -+ x_+- = +-(A^2 - I) x / 2, so the residual is the sampled one
-    on each basis vector, max_j ||(A^2 - I) e_j|| / 2.  ``samples`` and ``seed``
-    are unused."""
-    A = algebra.alpha_coord
-    worst = float(np.max(np.linalg.norm(A @ A - np.eye(algebra.dim), axis=0))) / 2.0
-    return CheckResult("decomposition", worst <= tol, worst)
-
-
-def check_bimodule_axioms(
-    algebra: KreinAlgebra, samples: int = 50, seed: int = 13, tol: float = DEFAULT_TOL
-) -> list[CheckResult]:
+def check_bimodule_axioms(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Hilbert bimodule axioms of the odd part over the even part.
 
-    On the structure constants: module associativity (a x) b = a (x b) for
-    random even a, b and every odd basis x; inner-product compatibility
-    x^dag (a y) = (a^dag x)^dag y and (x b) y^dag = x (y b^dag)^dag for random
-    odd x, y and every even basis a, b; even-valuedness of x y^dag and x^dag y
-    on odd basis pairs.  Each identity is linear or antilinear in every slot,
-    so a defect on some basis triple is a nonzero polynomial in the random
-    coefficients and shows almost surely (Freivalds, 1977), in O(d^3) time
-    and O(d^2) memory.  Positivity of <x|x> = x^dag x and agreement of the two
-    bimodule norms, ||x x^dag|| = ||x^dag x||, hold for every matrix, so both
-    report the C*-identity's residual.  ``samples`` is unused.
+    Each is a theorem of matrix arithmetic, so each reports the certificates
+    (``_certificates``) of the coordinate data it reads: module associativity
+    (a x) b = a (x b) is the associativity of products (product);
+    inner-product compatibility x^dag (a y) = (a^dag x)^dag y and
+    (x b) y^dag = x (y b^dag)^dag also needs (x^dag)^dag = x (product,
+    adjoint); even-valuedness of x y^dag and x^dag y holds because alpha is a
+    *-automorphism (product, adjoint, alpha); positivity of <x|x> = x^dag x
+    and agreement of the two bimodule norms, ||x x^dag|| = ||x^dag x||, hold
+    for every matrix (product, adjoint).
     """
-    eb, ob = algebra.even_basis, algebra.odd_basis
-    m, k = eb.shape[1], ob.shape[1]
-    if k == 0 or m == 0:
+    if algebra.odd_basis.shape[1] == 0 or algebra.even_basis.shape[1] == 0:
         zero = CheckResult("bimodule_trivial", True, 0.0, detail="odd part trivial")
         return [zero]
-    results: list[CheckResult] = []
-    dob = _dag(algebra, ob)
-    rng = np.random.default_rng(seed)
-    a, b = _random_coords(rng, 2, m) @ eb.T
-    x, y = _random_coords(rng, 2, k) @ ob.T
-    La, Lx, Ly, Ldx = (_left_mul(algebra, c) for c in (a, x, y, _dag(algebra, x)))
-    Rb, Rx, Ry, Rdy = (_right_mul(algebra, c) for c in (b, x, y, _dag(algebra, y)))
-
-    # (a x) b == a (x b) for every odd basis x
-    assoc = _gap(Rb @ La @ ob, La @ Rb @ ob)
-    results.append(CheckResult("bimodule_associativity", assoc <= tol, assoc))
-
-    # x^dag (a y) = (a^dag x)^dag y and (x b) y^dag = x (y b^dag)^dag for every
-    # even basis a, b; a -> (a^dag x)^dag is linear, with matrix D conj(R_x D)
-    D = algebra.dagger_coord
-    compat_r = _gap(Ldx @ Ry @ eb, Ry @ D @ np.conj(Rx @ D) @ eb)
-    compat_l = _gap(Rdy @ Lx @ eb, Lx @ D @ np.conj(Ly @ D) @ eb)
-    compat = max(compat_r, compat_l)
-    results.append(CheckResult("bimodule_inner_compat", compat <= tol, compat))
-
-    # both inner products land in the even part
-    worst_even = max(
-        _rel(algebra.odd_projection(P), P)
-        for P in (_products(algebra, ob, dob), _products(algebra, dob, ob))
-    )
-    results.append(CheckResult("bimodule_even_valued", worst_even <= tol, worst_even))
-
-    closure = float(np.max(_certificates(algebra)[:2]))
-    results.append(CheckResult("bimodule_positivity", closure <= tol, closure))
-    results.append(CheckResult("bimodule_norms_coincide", closure <= tol, closure))
-    return results
+    product, adjoint, alpha = _certificates(algebra)
+    return [
+        _certified("bimodule_associativity", [product], tol),
+        _certified("bimodule_inner_compat", [product, adjoint], tol),
+        _certified("bimodule_even_valued", [product, adjoint, alpha], tol),
+        _certified("bimodule_positivity", [product, adjoint], tol),
+        _certified("bimodule_norms_coincide", [product, adjoint], tol),
+    ]
 
 
-def check_imprimitivity(
-    algebra: KreinAlgebra, samples: int = 50, seed: int = 17, tol: float = DEFAULT_TOL
-) -> CheckResult:
-    """Imprimitivity left<x|y> z = x right<y|z>, i.e. (x y^dag) z = x (y^dag z),
-    for random odd x, y and every odd basis z; as in ``check_bimodule_axioms``,
-    a defect on any basis triple shows almost surely.  ``samples`` is unused.
+def check_imprimitivity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Imprimitivity left<x|y> z = x right<y|z>, i.e. (x y^dag) z = x (y^dag z):
+    the associativity of matrix products, read on ``structure`` and
+    ``dagger_coord``, so the residual is max(product, adjoint certificates).
     The paper's imprimitivity bimodule is this plus fullness (``check_full``)."""
-    ob = algebra.odd_basis
-    if ob.shape[1] == 0:
+    if algebra.odd_basis.shape[1] == 0:
         return CheckResult("imprimitivity", True, 0.0, detail="odd part trivial")
-    x, y = _random_coords(np.random.default_rng(seed), 2, ob.shape[1]) @ ob.T
-    Lx, dy = _left_mul(algebra, x), _dag(algebra, y)
-    worst = _gap(_left_mul(algebra, Lx @ dy) @ ob, Lx @ _left_mul(algebra, dy) @ ob)
-    return CheckResult("imprimitivity", worst <= tol, worst)
+    return _certified("imprimitivity", _certificates(algebra)[:2], tol)
 
 
 # -- quotients -----------------------------------------------------------------

@@ -371,10 +371,7 @@ class SpectralReport:
 
 
 def verify_spectral_theorem(
-    algebra: KreinAlgebra,
-    samples: int = 100,
-    seed: int = 42,
-    tol: float = 1e-9,
+    algebra: KreinAlgebra, *, seed: int = 42, tol: float = 1e-9
 ) -> SpectralReport:
     """Check that the Gelfand transform is an isometric *-isomorphism.
 
@@ -390,7 +387,7 @@ def verify_spectral_theorem(
     C*-algebras is isometric, so ``isometry`` passes when T has rank d and
     the homomorphism, star, unit and alpha residuals and the construction
     certificates (``_certificates``) are within tol; its residual is their
-    maximum.  ``samples`` is unused; ``seed`` seeds the character finder.
+    maximum.  ``seed`` seeds the character finder.
     """
     if not check_commutative_symmetric(algebra, tol=max(tol, algebra.tol)).commutative:
         raise SpectralHypothesisError(

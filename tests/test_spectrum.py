@@ -248,7 +248,7 @@ class TestSpectralTheorem:
     @pytest.mark.parametrize("points", [1, 2, 4])
     def test_passes_on_function_algebras(self, points):
         alg = build_function_algebra(points)
-        report = verify_spectral_theorem(alg, samples=40, seed=4)
+        report = verify_spectral_theorem(alg, seed=4)
         assert report.passed
         assert report.spectrum_size == points
         assert report.transform_rank == 2 * points
@@ -256,30 +256,30 @@ class TestSpectralTheorem:
         assert all(c.passed for c in report.checks)
 
     def test_passes_in_a_rotated_frame(self, conj3):
-        report = verify_spectral_theorem(conj3, samples=40, seed=5)
+        report = verify_spectral_theorem(conj3, seed=5)
         assert report.passed and report.spectrum_size == 3
 
     def test_report_is_json_ready(self, fn1):
         import json
 
-        report = verify_spectral_theorem(fn1, samples=10, seed=6)
+        report = verify_spectral_theorem(fn1, seed=6)
         blob = json.dumps(report.to_dict())
         assert "spectrum_size" in blob
 
     def test_hypothesis_commutative(self, m2_algebra):
         with pytest.raises(SpectralHypothesisError) as err:
-            verify_spectral_theorem(m2_algebra, samples=5, seed=7)
+            verify_spectral_theorem(m2_algebra, seed=7)
         assert err.value.hypothesis == "commutative"
 
     def test_hypothesis_full(self, nonfull_algebra):
         with pytest.raises(SpectralHypothesisError) as err:
-            verify_spectral_theorem(nonfull_algebra, samples=5, seed=8)
+            verify_spectral_theorem(nonfull_algebra, seed=8)
         assert err.value.hypothesis == "full"
 
     def test_hypothesis_odd_symmetry(self, no_generator_algebra, broken_generator_algebra):
         for alg in (no_generator_algebra, broken_generator_algebra):
             with pytest.raises(SpectralHypothesisError) as err:
-                verify_spectral_theorem(alg, samples=5, seed=9)
+                verify_spectral_theorem(alg, seed=9)
             assert err.value.hypothesis == "odd symmetry"
 
 
