@@ -36,9 +36,9 @@ for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0, ||x x^dag|| =
 A check of any of them can fail only where the coordinate data
 (``structure``, ``dagger_coord``, ``alpha_coord``) disagrees with the basis,
 which is what the closure certificates measure; so those checks report the
-certificates (``_certificates``) they follow from, recomputed from the
-algebra's current attributes.  The Krein involution's matrix ``star_coord``
-is derived from ``alpha_coord`` and ``dagger_coord``, never stored.
+certificates they follow from as construction took them, and do not
+re-certify attributes rebound later.  The Krein involution's matrix
+``star_coord`` is derived from ``alpha_coord`` and ``dagger_coord``.
 
 Instance files store complex entries as [re, im] pairs.  A matrix is read
 by checking the types and lengths of its rows, pairs and leaves in C-level
@@ -367,9 +367,9 @@ class KreinAlgebra:
     O(d^2 n^2) for one QR factorisation of the vectorized basis, the choice
     of the pivot entries and the alpha images at them, plus the unit: an
     O(d^3) sketch solve and one O(d^4) Gram GEMM for its backward error (see
-    ``_resolve_unit``).  The closure residuals ``product_closure``,
-    ``adjoint_closure`` and ``alpha_closure`` are the certificates of
-    ``_certificates``.
+    ``_resolve_unit``).  The closure certificates (``_certificates``) are
+    taken once, here: ``validation_residuals`` keeps them as
+    ``product_closure``, ``adjoint_closure`` and ``alpha_closure``.
     """
 
     def __init__(
@@ -794,7 +794,7 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
     with alpha on the basis.  With e odd, e* = alpha(e^dag) = -e gives
     e^dag = e, so e^2 = 1 makes e unitary and ||e x|| = ||x|| holds wherever
     the coordinates agree with the basis: ``isometric`` is the four tests
-    passing and the closure certificates (``_certificates``) within tol, and
+    passing and the closure certificates construction took within tol, and
     ``max_residual`` covers all seven.  With no generator supplied the
     verdict reports existence as unknown.
     """
@@ -823,9 +823,9 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
     ]
     failures = tuple(message for r, message in tests if not r <= tol)
 
-    certificates = _certificates(algebra)
-    resid = float(np.max([r for r, _ in tests] + list(certificates)))
-    isometric = not failures and bool(np.max(certificates) <= tol)
+    closure = _certified("isometric", algebra, tol, "product", "adjoint", "alpha")
+    resid = float(np.max([r for r, _ in tests] + [closure.max_residual]))
+    isometric = not failures and closure.passed
 
     return OddSymmetryVerdict(not failures, isometric, resid, failures)
 
@@ -833,10 +833,10 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
 # -- identity checks -----------------------------------------------------------
 
 
-def _certified(name: str, certificates, tol: float) -> CheckResult:
-    """The check ``name`` as the largest of the certificates it follows from;
-    a NaN certificate fails it."""
-    worst = float(np.max(certificates))
+def _certified(name: str, algebra: KreinAlgebra, tol: float, *certificates: str) -> CheckResult:
+    """The check ``name`` as the largest of the closure certificates it follows
+    from ("product", "adjoint", "alpha"), as construction took them."""
+    worst = max(algebra.validation_residuals[f"{c}_closure"] for c in certificates)
     return CheckResult(name, worst <= tol, worst)
 
 
@@ -844,8 +844,8 @@ def check_cstar_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> 
     """C*-identity ||x^dag x|| = ||x||^2 for the associated involution.  Every
     matrix satisfies it, so it holds for the coordinates wherever ``structure``
     and ``dagger_coord`` agree with the basis: the residual is the larger of the
-    product and adjoint certificates (``_certificates``)."""
-    return _certified("cstar_identity", _certificates(algebra)[:2], tol)
+    product and adjoint certificates."""
+    return _certified("cstar_identity", algebra, tol, "product", "adjoint")
 
 
 def check_krein_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -853,7 +853,7 @@ def check_krein_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> 
     alpha(x*) has coordinates A^2 D conj(x), which is x^dag once A^2 = I
     (``check_decomposition``); the identity is then the C*-identity.  The
     residual is max(C*-identity, decomposition): all three certificates."""
-    return _certified("krein_identity", _certificates(algebra), tol)
+    return _certified("krein_identity", algebra, tol, "product", "adjoint", "alpha")
 
 
 def check_decomposition(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -862,15 +862,15 @@ def check_decomposition(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> C
     +-(A^2 - I) x / 2.  A^2 is Ad U^2 = id wherever A agrees with the basis,
     since construction certifies U^2 = I (``symmetry_involution``): the
     residual is the alpha certificate."""
-    return _certified("decomposition", _certificates(algebra)[2:], tol)
+    return _certified("decomposition", algebra, tol, "alpha")
 
 
 def check_bimodule_axioms(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Hilbert bimodule axioms of the odd part over the even part.
 
     Each is a theorem of matrix arithmetic, so each reports the certificates
-    (``_certificates``) of the coordinate data it reads: module associativity
-    (a x) b = a (x b) is the associativity of products (product);
+    of the coordinate data it reads: module associativity (a x) b = a (x b)
+    is the associativity of products (product);
     inner-product compatibility x^dag (a y) = (a^dag x)^dag y and
     (x b) y^dag = x (y b^dag)^dag also needs (x^dag)^dag = x (product,
     adjoint); even-valuedness of x y^dag and x^dag y holds because alpha is a
@@ -881,13 +881,12 @@ def check_bimodule_axioms(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) ->
     if algebra.odd_basis.shape[1] == 0 or algebra.even_basis.shape[1] == 0:
         zero = CheckResult("bimodule_trivial", True, 0.0, detail="odd part trivial")
         return [zero]
-    product, adjoint, alpha = _certificates(algebra)
     return [
-        _certified("bimodule_associativity", [product], tol),
-        _certified("bimodule_inner_compat", [product, adjoint], tol),
-        _certified("bimodule_even_valued", [product, adjoint, alpha], tol),
-        _certified("bimodule_positivity", [product, adjoint], tol),
-        _certified("bimodule_norms_coincide", [product, adjoint], tol),
+        _certified("bimodule_associativity", algebra, tol, "product"),
+        _certified("bimodule_inner_compat", algebra, tol, "product", "adjoint"),
+        _certified("bimodule_even_valued", algebra, tol, "product", "adjoint", "alpha"),
+        _certified("bimodule_positivity", algebra, tol, "product", "adjoint"),
+        _certified("bimodule_norms_coincide", algebra, tol, "product", "adjoint"),
     ]
 
 
@@ -898,7 +897,7 @@ def check_imprimitivity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> C
     The paper's imprimitivity bimodule is this plus fullness (``check_full``)."""
     if algebra.odd_basis.shape[1] == 0:
         return CheckResult("imprimitivity", True, 0.0, detail="odd part trivial")
-    return _certified("imprimitivity", _certificates(algebra)[:2], tol)
+    return _certified("imprimitivity", algebra, tol, "product", "adjoint")
 
 
 # -- quotients -----------------------------------------------------------------

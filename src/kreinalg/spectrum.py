@@ -11,8 +11,8 @@ is an isometric *-isomorphism.  ``verify_spectral_theorem`` checks the
 character axioms of the transform's rows on the basis (multiplicativity
 through one random slot, the rest as linear identities).  It samples no
 ambient norm: an injective *-homomorphism between C*-algebras is isometric,
-so the isometry check reads those axioms, the rank and the construction
-certificates.
+so the isometry check reads those axioms, the rank and the closure
+certificates construction took.
 
 Even characters are read off the even block of the structure tensor: the
 even part is a copy of C^m, so left multiplication by a generic element is
@@ -32,7 +32,7 @@ from .finite_krein import (
     CheckResult,
     GradedElement,
     KreinAlgebra,
-    _certificates,
+    _certified,
     _left_mul,
     _pairs_to_json,
     _products,
@@ -385,8 +385,8 @@ def verify_spectral_theorem(
     symmetries as linear identities) and the round trip
     max_j ||(T^+ T - I) e_j||.  An injective *-homomorphism between
     C*-algebras is isometric, so ``isometry`` passes when T has rank d and
-    the homomorphism, star, unit and alpha residuals and the construction
-    certificates (``_certificates``) are within tol; its residual is their
+    the homomorphism, star, unit and alpha residuals and the closure
+    certificates construction took are within tol; its residual is their
     maximum.  ``seed`` seeds the character finder.
     """
     if not check_commutative_symmetric(algebra, tol=max(tol, algebra.tol)).commutative:
@@ -433,7 +433,8 @@ def verify_spectral_theorem(
 
     r = _axiom_residuals(algebra, T[0::2], T[1::2])
     implied = [r[key] for key in ("multiplicative", "star", "unital", "alpha_equivariance")]
-    r_iso = float(np.max(implied + list(_certificates(algebra))))
+    closure = _certified("isometry", algebra, tol, "product", "adjoint", "alpha")
+    r_iso = float(np.max(implied + [closure.max_residual]))
     Tinv = np.linalg.pinv(T) if rank == d else None
     r_round = 0.0 if Tinv is None else float(np.max(np.linalg.norm(Tinv @ T - np.eye(d), axis=0)))
     for name, key in (

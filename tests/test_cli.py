@@ -20,7 +20,9 @@ from kreinalg import (
     build_function_algebra,
     conjugate_algebra,
     function_algebra_instance,
+    gelfand_matrix,
     random_unitary,
+    spectrum_classes,
 )
 from kreinalg import cli
 from kreinalg.cli import main
@@ -344,6 +346,57 @@ class TestSpectrum:
         inst.write_text(json.dumps(algebra_to_instance_dict(m2_algebra)))
         assert main(["spectrum", "--input", str(inst)]) == 3
         assert "hypothesis failure" in capsys.readouterr().err
+
+    # cond 1e6 is left out: even_characters diagonalizes in coordinates, and
+    # there its values are off by up to 5.9e-4 (see CHANGES.md)
+    @pytest.mark.parametrize("cond_exp, bound", [(0, 1e-13), (4, 1e-7)], ids=["cond1", "cond1e4"])
+    @pytest.mark.parametrize("points", [2, 4])
+    def test_mixed_frame_characters_are_on_the_file_basis(
+        self, tmp_path, mixed_function_algebra, points, cond_exp, bound
+    ):
+        # the report's character values are w(B_i) on the instance's own basis:
+        # the standard frame's Gelfand rows mapped onto the mixed basis
+        alg, to_mixed = mixed_function_algebra(points, cond_exp)
+        inst, report = tmp_path / "mixed.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(algebra_to_instance_dict(alg)))
+        # at cond 1e4 and N = 4 the homomorphism residuals read about 2e-9,
+        # above the default tol (exit 1); the characters are reported either way
+        assert main(["spectrum", "--input", str(inst), "--report", str(report)]) in (0, 1)
+        got = np.array(
+            [
+                [[v[k][0] + 1j * v[k][1] for v in cls["even"]] for k in ("a", "b")]
+                for cls in json.loads(report.read_text())["characters"]
+            ]
+        )
+        base = build_function_algebra(points)
+        want = (gelfand_matrix(spectrum_classes(base)) @ np.linalg.inv(to_mixed)).reshape(got.shape)
+        # the classes are sorted by their values on each frame's basis, so
+        # each reported class is compared with its nearest expected one
+        errors = np.linalg.norm(got[:, None] - want[None], axis=(2, 3)) / np.linalg.norm(want, axis=(1, 2))
+        nearest = errors.argmin(axis=1)
+        assert sorted(nearest) == list(range(points))
+        assert np.max(errors[np.arange(points), nearest]) <= bound
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_each_run_takes_the_closure_certificates_once(tmp_path, monkeypatch, command):
+    # construction takes them; every check reads what it stored
+    inst = str(tmp_path / "rotated8.json")
+    assert main(["gen", "--points", "8", "--conjugate", "--out", inst]) == 0
+    certificates = kreinalg.finite_krein._certificates
+    calls = []
+
+    def counted(algebra):
+        calls.append(algebra)
+        return certificates(algebra)
+
+    for name, module in list(sys.modules.items()):
+        if name == "kreinalg" or name.startswith("kreinalg."):
+            for attr, value in list(vars(module).items()):
+                if value is certificates:
+                    monkeypatch.setattr(module, attr, counted)
+    assert main([command, "--input", inst]) == 0
+    assert len(calls) == 1
 
 
 VERIFY_CHECKS = [
