@@ -39,7 +39,9 @@ from .finite_krein import (
     decompose,
     inner_products,
     check_full,
+    CommutativeSymmetricVerdict,
     check_commutative_symmetric,
+    OddSymmetryVerdict,
     check_odd_symmetry,
     check_cstar_identity,
     check_krein_identity,

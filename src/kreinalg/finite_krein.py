@@ -37,7 +37,8 @@ A check of any of them can fail only where the coordinate data
 (``structure``, ``dagger_coord``, ``alpha_coord``) disagrees with the basis,
 which is what the closure certificates measure; so those checks report the
 certificates they follow from as construction took them, and do not
-re-certify attributes rebound later.  The Krein involution's matrix
+re-certify attributes rebound later.  ``_IMPLIED`` maps each such check to
+its theorem and its certificates.  The Krein involution's matrix
 ``star_coord`` is derived from ``alpha_coord`` and ``dagger_coord``.
 
 Instance files store complex entries as [re, im] pairs.  A matrix is read
@@ -794,7 +795,7 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
     with alpha on the basis.  With e odd, e* = alpha(e^dag) = -e gives
     e^dag = e, so e^2 = 1 makes e unitary and ||e x|| = ||x|| holds wherever
     the coordinates agree with the basis: ``isometric`` is the four tests
-    passing and the closure certificates construction took within tol, and
+    passing and the ``odd_symmetry`` row of ``_IMPLIED`` within tol, and
     ``max_residual`` covers all seven.  With no generator supplied the
     verdict reports existence as unknown.
     """
@@ -823,81 +824,84 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
     ]
     failures = tuple(message for r, message in tests if not r <= tol)
 
-    closure = _certified("isometric", algebra, tol, "product", "adjoint", "alpha")
+    closure = _implied("odd_symmetry", algebra, tol)
     resid = float(np.max([r for r, _ in tests] + [closure.max_residual]))
     isometric = not failures and closure.passed
 
     return OddSymmetryVerdict(not failures, isometric, resid, failures)
 
 
-# -- identity checks -----------------------------------------------------------
+# -- checks that matrix arithmetic guarantees ------------------------------------
+
+# check -> (the theorem of matrix arithmetic it reads, the closure certificates
+# it follows from).  The theorem can fail only where the coordinate data
+# disagrees with the basis, so the check reports the largest of those
+# certificates.  The rows before ``odd_symmetry`` are verify's; the last two
+# are the ``isometric`` flag of ``check_odd_symmetry`` and the certificate half
+# of ``verify_spectral_theorem``'s ``isometry``.  README lists the same table.
+_CLOSURES = ("product", "adjoint", "alpha")
+_IMPLIED = {
+    "cstar_identity": ("||x^dag x|| = ||x||^2", ("product", "adjoint")),
+    "krein_identity": ("with A^2 = I, alpha(x*) = x^dag: the C*-identity", _CLOSURES),
+    "decomposition": ("alpha(x_+-) -+ x_+- = +-(A^2 - I) x / 2, and A^2 = Ad U^2 = id", ("alpha",)),
+    "bimodule_associativity": ("(a x) b = a (x b)", ("product",)),
+    "bimodule_inner_compat": (
+        "x^dag (a y) = (a^dag x)^dag y and (x b) y^dag = x (y b^dag)^dag", ("product", "adjoint")
+    ),
+    "bimodule_even_valued": ("x y^dag and x^dag y are even: alpha is a *-automorphism", _CLOSURES),
+    "bimodule_positivity": ("<x|x> = x^dag x >= 0", ("product", "adjoint")),
+    "bimodule_norms_coincide": ("||x x^dag|| = ||x^dag x||", ("product", "adjoint")),
+    "imprimitivity": ("(x y^dag) z = x (y^dag z)", ("product", "adjoint")),
+    "odd_symmetry": ("||e x|| = ||x|| for unitary e", _CLOSURES),
+    "isometry": ("an injective *-homomorphism is isometric", _CLOSURES),
+}
+_VERIFY_ROWS = tuple(_IMPLIED)[:-2]
 
 
-def _certified(name: str, algebra: KreinAlgebra, tol: float, *certificates: str) -> CheckResult:
-    """The check ``name`` as the largest of the closure certificates it follows
-    from ("product", "adjoint", "alpha"), as construction took them."""
-    worst = max(algebra.validation_residuals[f"{c}_closure"] for c in certificates)
+def _implied(name: str, algebra: KreinAlgebra, tol: float) -> CheckResult:
+    """The check ``name`` of ``_IMPLIED``: the largest of its certificates."""
+    worst = max(algebra.validation_residuals[f"{c}_closure"] for c in _IMPLIED[name][1])
     return CheckResult(name, worst <= tol, worst)
 
 
+def _implied_rows(algebra: KreinAlgebra, tol: float):
+    """Yield verify's rows of ``_IMPLIED``, in order.  With a trivial odd (or
+    even) part one ``bimodule_trivial`` row stands for the five bimodule rows,
+    and with a trivial odd part ``imprimitivity`` holds vacuously."""
+    odd, even = algebra.odd_basis.shape[1], algebra.even_basis.shape[1]
+    for name in _VERIFY_ROWS:
+        if name.startswith("bimodule_") and not (odd and even):
+            if name == "bimodule_associativity":  # the first bimodule row
+                yield CheckResult("bimodule_trivial", True, 0.0, detail="odd part trivial")
+        elif name == "imprimitivity" and not odd:
+            yield CheckResult(name, True, 0.0, detail="odd part trivial")
+        else:
+            yield _implied(name, algebra, tol)
+
+
 def check_cstar_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
-    """C*-identity ||x^dag x|| = ||x||^2 for the associated involution.  Every
-    matrix satisfies it, so it holds for the coordinates wherever ``structure``
-    and ``dagger_coord`` agree with the basis: the residual is the larger of the
-    product and adjoint certificates."""
-    return _certified("cstar_identity", algebra, tol, "product", "adjoint")
+    """The ``cstar_identity`` row of ``_IMPLIED``."""
+    return _implied("cstar_identity", algebra, tol)
 
 
 def check_krein_identity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Krein identity ||alpha(x*) x|| = ||x||^2.  With ``star_coord`` = A D,
-    alpha(x*) has coordinates A^2 D conj(x), which is x^dag once A^2 = I
-    (``check_decomposition``); the identity is then the C*-identity.  The
-    residual is max(C*-identity, decomposition): all three certificates."""
-    return _certified("krein_identity", algebra, tol, "product", "adjoint", "alpha")
+    """The ``krein_identity`` row of ``_IMPLIED``."""
+    return _implied("krein_identity", algebra, tol)
 
 
 def check_decomposition(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Grading: x = x_+ + x_- with alpha(x_+-) = +-x_+-.  With A = ``alpha_coord``,
-    x_+- = (x +- A x)/2 sum to x identically and alpha(x_+-) -+ x_+- =
-    +-(A^2 - I) x / 2.  A^2 is Ad U^2 = id wherever A agrees with the basis,
-    since construction certifies U^2 = I (``symmetry_involution``): the
-    residual is the alpha certificate."""
-    return _certified("decomposition", algebra, tol, "alpha")
+    """The ``decomposition`` row of ``_IMPLIED``."""
+    return _implied("decomposition", algebra, tol)
 
 
 def check_bimodule_axioms(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Hilbert bimodule axioms of the odd part over the even part.
-
-    Each is a theorem of matrix arithmetic, so each reports the certificates
-    of the coordinate data it reads: module associativity (a x) b = a (x b)
-    is the associativity of products (product);
-    inner-product compatibility x^dag (a y) = (a^dag x)^dag y and
-    (x b) y^dag = x (y b^dag)^dag also needs (x^dag)^dag = x (product,
-    adjoint); even-valuedness of x y^dag and x^dag y holds because alpha is a
-    *-automorphism (product, adjoint, alpha); positivity of <x|x> = x^dag x
-    and agreement of the two bimodule norms, ||x x^dag|| = ||x^dag x||, hold
-    for every matrix (product, adjoint).
-    """
-    if algebra.odd_basis.shape[1] == 0 or algebra.even_basis.shape[1] == 0:
-        zero = CheckResult("bimodule_trivial", True, 0.0, detail="odd part trivial")
-        return [zero]
-    return [
-        _certified("bimodule_associativity", algebra, tol, "product"),
-        _certified("bimodule_inner_compat", algebra, tol, "product", "adjoint"),
-        _certified("bimodule_even_valued", algebra, tol, "product", "adjoint", "alpha"),
-        _certified("bimodule_positivity", algebra, tol, "product", "adjoint"),
-        _certified("bimodule_norms_coincide", algebra, tol, "product", "adjoint"),
-    ]
+    """The ``bimodule_*`` rows of ``_IMPLIED``, as ``_implied_rows`` yields them."""
+    return [r for r in _implied_rows(algebra, tol) if r.name.startswith("bimodule_")]
 
 
 def check_imprimitivity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Imprimitivity left<x|y> z = x right<y|z>, i.e. (x y^dag) z = x (y^dag z):
-    the associativity of matrix products, read on ``structure`` and
-    ``dagger_coord``, so the residual is max(product, adjoint certificates).
-    The paper's imprimitivity bimodule is this plus fullness (``check_full``)."""
-    if algebra.odd_basis.shape[1] == 0:
-        return CheckResult("imprimitivity", True, 0.0, detail="odd part trivial")
-    return _certified("imprimitivity", algebra, tol, "product", "adjoint")
+    """The ``imprimitivity`` row of ``_IMPLIED``, as ``_implied_rows`` yields it."""
+    return next(r for r in _implied_rows(algebra, tol) if r.name == "imprimitivity")
 
 
 # -- quotients -----------------------------------------------------------------

@@ -30,9 +30,10 @@ import numpy as np
 from .kalgebra import KElem
 from .finite_krein import (
     CheckResult,
+    DEFAULT_TOL,
     GradedElement,
     KreinAlgebra,
-    _certified,
+    _implied,
     _left_mul,
     _pairs_to_json,
     _products,
@@ -371,7 +372,7 @@ class SpectralReport:
 
 
 def verify_spectral_theorem(
-    algebra: KreinAlgebra, *, seed: int = 42, tol: float = 1e-9
+    algebra: KreinAlgebra, *, seed: int = 42, tol: float = DEFAULT_TOL
 ) -> SpectralReport:
     """Check that the Gelfand transform is an isometric *-isomorphism.
 
@@ -386,8 +387,9 @@ def verify_spectral_theorem(
     max_j ||(T^+ T - I) e_j||.  An injective *-homomorphism between
     C*-algebras is isometric, so ``isometry`` passes when T has rank d and
     the homomorphism, star, unit and alpha residuals and the closure
-    certificates construction took are within tol; its residual is their
-    maximum.  ``seed`` seeds the character finder.
+    certificates of the ``isometry`` row of ``finite_krein._IMPLIED`` are
+    within tol; its residual is their maximum.  ``seed`` seeds the character
+    finder.
     """
     if not check_commutative_symmetric(algebra, tol=max(tol, algebra.tol)).commutative:
         raise SpectralHypothesisError(
@@ -433,7 +435,7 @@ def verify_spectral_theorem(
 
     r = _axiom_residuals(algebra, T[0::2], T[1::2])
     implied = [r[key] for key in ("multiplicative", "star", "unital", "alpha_equivariance")]
-    closure = _certified("isometry", algebra, tol, "product", "adjoint", "alpha")
+    closure = _implied("isometry", algebra, tol)
     r_iso = float(np.max(implied + [closure.max_residual]))
     Tinv = np.linalg.pinv(T) if rank == d else None
     r_round = 0.0 if Tinv is None else float(np.max(np.linalg.norm(Tinv @ T - np.eye(d), axis=0)))

@@ -120,6 +120,29 @@ class TestVerify:
     def test_matrix_instance_passes(self, good_instance):
         assert main(["verify", "--input", str(good_instance)]) == 0
 
+    def test_trivial_odd_part_rows(self, tmp_path, m2_algebra):
+        # M_2 with trivial grading: one bimodule_trivial row stands for the five
+        # bimodule rows, and imprimitivity holds vacuously; fullness fails
+        inst, report = tmp_path / "m2.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(algebra_to_instance_dict(m2_algebra)))
+        assert main(["verify", "--input", str(inst), "--report", str(report)]) == 1
+        checks = json.loads(report.read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            "construction",
+            "cstar_identity",
+            "krein_identity",
+            "decomposition",
+            "bimodule_trivial",
+            "imprimitivity",
+            "fullness",
+            "commutative_symmetric",
+            "odd_symmetry",
+        ]
+        trivial = [c for c in checks if c.get("detail") == "odd part trivial"]
+        assert [c["name"] for c in trivial] == ["bimodule_trivial", "imprimitivity"]
+        assert all(c["passed"] and c["max_residual"] == 0.0 for c in trivial)
+        assert [c["name"] for c in checks if not c["passed"]] == ["fullness"]
+
     def test_conjugated_instance_passes(self, tmp_path):
         inst = tmp_path / "conj.json"
         assert main(["gen", "--points", "2", "--conjugate", "--out", str(inst)]) == 0
@@ -610,16 +633,26 @@ class TestBadArgumentsAndFiles:
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("samples", [2**62, 2**64 - 1])
-    @pytest.mark.parametrize("command", ["verify", "spectrum", "counterexample"])
-    def test_samples_too_large_to_draw_exits_2(self, tmp_path, good_instance, capsys, command, samples):
+    def test_samples_too_large_to_draw_exits_2(self, tmp_path, capsys, samples):
         """numpy rejects these draw shapes before it allocates anything;
         counterexample rejects them before its sweep."""
         report = tmp_path / "report.json"
-        source = ["--grid", "2"] if command == "counterexample" else ["--input", str(good_instance)]
-        argv = [command, *source, "--samples", str(samples), "--report", str(report)]
+        argv = ["counterexample", "--grid", "2", "--samples", str(samples), "--report", str(report)]
         assert main(argv) == 2
         assert f"error: --samples {samples} is too large to draw" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("samples", [2**62, 2**64 - 1])
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_samples_are_accepted_undrawn(self, tmp_path, good_instance, command, samples):
+        """verify and spectrum draw no samples: they accept any --samples
+        below 2**64, and verify's report echoes it."""
+        report = tmp_path / "report.json"
+        argv = [command, "--input", str(good_instance), "--samples", str(samples), "--report", str(report)]
+        assert main(argv) == 0
+        blob = orjson.loads(report.read_bytes())
+        assert blob["passed"] is True
+        assert blob.get("samples") == (samples if command == "verify" else None)
 
     def test_largest_seed_is_echoed(self, tmp_path):
         report = tmp_path / "cells.json"

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kreinalg
 from kreinalg import (
     AlgebraValidationError,
     inner_products,
@@ -43,8 +44,16 @@ from kreinalg import (
     random_unitary,
     verify_spectral_theorem,
 )
+from kreinalg import finite_krein, spectrum
 from kreinalg.cli import main
-from kreinalg.finite_krein import _certificates, _matrix_from_json
+from kreinalg.finite_krein import (
+    DEFAULT_TOL,
+    _IMPLIED,
+    _VERIFY_ROWS,
+    _certificates,
+    _implied_rows,
+    _matrix_from_json,
+)
 
 
 def block_values(algebra, x):
@@ -730,20 +739,6 @@ def named_result(check, alg, name):
     return next(r for r in (out if isinstance(out, list) else [out]) if r.name == name)
 
 
-# check name -> (check, the construction residuals of the certificates it follows from)
-CERTIFICATE_READERS = {
-    "cstar_identity": (check_cstar_identity, CLOSURE_RESIDUALS[:2]),
-    "krein_identity": (check_krein_identity, CLOSURE_RESIDUALS),
-    "decomposition": (check_decomposition, CLOSURE_RESIDUALS[2:]),
-    "bimodule_associativity": (check_bimodule_axioms, CLOSURE_RESIDUALS[:1]),
-    "bimodule_inner_compat": (check_bimodule_axioms, CLOSURE_RESIDUALS[:2]),
-    "bimodule_even_valued": (check_bimodule_axioms, CLOSURE_RESIDUALS),
-    "bimodule_positivity": (check_bimodule_axioms, CLOSURE_RESIDUALS[:2]),
-    "bimodule_norms_coincide": (check_bimodule_axioms, CLOSURE_RESIDUALS[:2]),
-    "imprimitivity": (check_imprimitivity, CLOSURE_RESIDUALS[:2]),
-}
-
-
 def defective_algebra(points, defect, monkeypatch):
     """The rotated function algebra over ``points`` points with one
     ``CERTIFICATE_DEFECTS`` entry built in, constructed at tol 1e-2 so that
@@ -767,11 +762,11 @@ class TestCertificateChecks:
 
     @pytest.mark.parametrize("points", [2, 3, 8])
     @pytest.mark.parametrize("defect", list(CERTIFICATE_DEFECTS))
-    @pytest.mark.parametrize("name", list(CERTIFICATE_READERS))
+    @pytest.mark.parametrize("name", _VERIFY_ROWS)
     def test_check_fails_exactly_on_the_defects_it_reads(self, monkeypatch, name, defect, points):
         alg = defective_algebra(points, defect, monkeypatch)
-        check, read = CERTIFICATE_READERS[name]
-        got = named_result(check, alg, name)
+        read = [f"{c}_closure" for c in _IMPLIED[name][1]]
+        got = next(r for r in _implied_rows(alg, DEFAULT_TOL) if r.name == name)
         want = max(alg.validation_residuals[k] for k in read)
         assert float.hex(got.max_residual) == float.hex(want)
         assert got.passed is (CERTIFICATE_DEFECTS[defect][1] not in read), got
@@ -791,6 +786,20 @@ class TestCertificateChecks:
         assert not isometry.passed and isometry.max_residual >= product
 
 
+@pytest.mark.parametrize("fixture", ["fn3", "conj3", "m2_algebra"])
+def test_public_checks_read_the_verify_rows(request, fixture):
+    # the five public checks return, together and in order, what verify reports
+    alg = request.getfixturevalue(fixture)
+    public = [
+        check_cstar_identity(alg),
+        check_krein_identity(alg),
+        check_decomposition(alg),
+        *check_bimodule_axioms(alg),
+        check_imprimitivity(alg),
+    ]
+    assert public == list(_implied_rows(alg, DEFAULT_TOL))
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -807,6 +816,16 @@ def test_old_positional_samples_argument_is_refused(fn3, check):
     # the removed samples parameter came second; passed there it must not bind to tol
     with pytest.raises(TypeError):
         check(fn3, 100)
+
+
+
+@pytest.mark.parametrize("module", [finite_krein, spectrum], ids=["finite_krein", "spectrum"])
+def test_public_names_resolve_and_are_reexported(module):
+    # the benchmark's tracer binds some of these names by attribute lookup; the
+    # private tables, such as _IMPLIED, stay out
+    for name in module.__all__:
+        assert not name.startswith("_"), name
+        assert getattr(kreinalg, name) is getattr(module, name), name
 
 
 class TestQuotients:
