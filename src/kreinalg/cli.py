@@ -44,11 +44,11 @@ from .finite_krein import (
     KreinAlgebra,
     algebra_from_instance_dict,
     check_commutative_symmetric,
-    check_full,
     check_odd_symmetry,
     function_algebra_instance,
     random_unitary,
     _conjugated,
+    _fullness_margin,
     _function_algebra_arrays,
     _implied_rows,
     _matrix_instance,
@@ -281,11 +281,10 @@ def run_verify(cfg: RunConfig) -> int:
         *_implied_rows(algebra, tol),
     ]
 
-    full = check_full(algebra, tol)
+    # smaller is worse: sigma_min / sigma_max of x -> g x on the even part
+    margin = _fullness_margin(algebra)
     dim_even = algebra.even_basis.shape[1]
-    checks.append(
-        CheckResult("fullness", full, 0.0 if full else 1.0, detail=f"even dim {dim_even}")
-    )
+    checks.append(CheckResult("fullness", margin > tol, margin, detail=f"even dim {dim_even}"))
 
     # both flags are one residual's verdict, so they agree by construction
     cs = check_commutative_symmetric(algebra, tol)

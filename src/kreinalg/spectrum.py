@@ -14,11 +14,12 @@ ambient norm: an injective *-homomorphism between C*-algebras is isometric,
 so the isometry check reads those axioms, the rank and the closure
 certificates construction took.
 
-Even characters are read off the even block of the structure tensor: the
-even part is a copy of C^m, so left multiplication by a generic element is
+Even characters are read off one multiplication matrix: the even part is a
+copy of C^m, so left multiplication by a generic even element is
 diagonalizable with the minimal projections as eigenvectors, and the
 characters are the dual basis.  A combination that fails to separate them is
-retried with fresh coefficients.
+retried with fresh coefficients.  One random slot tests commutativity and
+multiplicativity, as it does the character axioms.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .finite_krein import (
     GradedElement,
     KreinAlgebra,
     _implied,
-    _left_mul,
     _pairs_to_json,
-    _products,
     _random_coords,
     _rank,
     _worst,
@@ -120,37 +119,47 @@ def even_characters(
 ) -> list[EvenCharacter]:
     """All characters of the (commutative) even part, one per minimal projection.
 
-    Works on the even block of the structure tensor: left multiplication by
-    a random real combination of the even basis is diagonalized, its
-    eigenvectors are the minimal projections, and the rows of the inverse
-    eigenvector matrix, scaled to read 1 on the unit, are the characters.
-    They are accepted when multiplicative to ``tol`` relative to their size;
-    otherwise the next combination is tried, and after ``retries`` attempts
-    a ClusteringAmbiguityError is raised.  The result is sorted
+    Left multiplication by a random real combination x of the even basis,
+    restricted to the even part, is diagonalized: its eigenvectors are the
+    minimal projections, and the rows of the inverse eigenvector matrix,
+    scaled to read 1 on the unit, are the characters.  One complex Gaussian
+    even y, seeded from the basis bytes, fills one random slot (Freivalds,
+    1977) of two tests, each relative to the sizes of its terms: x y = y x
+    (else NotCommutativeError), and w(y e_j) = w(y) w(e_j) on the even basis
+    e_j to ``tol``, which accepts the characters.  Otherwise the next
+    combination is tried, and after ``retries`` attempts a
+    ClusteringAmbiguityError is raised.  The result is sorted
     lexicographically by value tuple and its length always equals the even
-    dimension.
+    dimension.  O(d^3): one multiplication matrix per element.
     """
-    eb = algebra.even_basis
-    # L[i, a, j]: coordinate a of the product of even basis elements i and j
-    L = np.einsum("ka,ijk->iaj", eb.conj(), _products(algebra, eb, eb))
-    comm = float(np.max(np.abs(L - L.transpose(2, 1, 0)), initial=0.0))
-    if comm > tol * max(1.0, float(np.max(np.abs(algebra.structure)))):
-        raise NotCommutativeError(
-            f"even part is not commutative (residual {comm:.3e})"
-        )
+    eb, norm = algebra.even_basis, np.linalg.norm
+    m = eb.shape[1]
+
+    def restricted(c: np.ndarray) -> np.ndarray:
+        # v -> z v on the even part for z = eb @ c; [a, j]: coordinate a of z e_j
+        return eb.conj().T @ (algebra._left_matrices(eb @ c).T @ eb)
+
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(m), _random_coords(np.random.default_rng(algebra._seed), 1, m)[0]
+    X, Y = restricted(x), restricted(y)
+    # each gap is relative to the bounds ||M|| ||v|| of its terms M v
+    comm = norm(X @ y - Y @ x) / (norm(X) * norm(y) + norm(Y) * norm(x))
+    if comm > tol:
+        raise NotCommutativeError(f"even part is not commutative (residual {comm:.3e})")
 
     unit = eb.conj().T @ algebra.unit_coords
-    rng = np.random.default_rng(seed)
     for _ in range(max(1, retries)):
-        _, V = np.linalg.eig(np.einsum("i,iaj->aj", rng.standard_normal(L.shape[0]), L))
-        W = np.linalg.inv(V)
+        W = np.linalg.inv(np.linalg.eig(X)[1])
         W = W / (W @ unit)[:, None]
-        gap = np.einsum("ra,iaj->rij", W, L) - W[:, :, None] * W[:, None, :]
-        resid = float(np.max(np.abs(gap)))
-        if resid <= tol * max(1.0, float(np.max(np.abs(W)))) ** 2:
+        wy = W @ y
+        # column j: w(y e_j) - w(y) w(e_j) for every character w
+        gaps = norm(W @ Y - wy[:, None] * W, axis=0)
+        resid = float(np.max(gaps / (norm(W) * norm(Y, axis=0) + norm(wy) * norm(W, axis=0))))
+        if resid <= tol:
             chars = [EvenCharacter(algebra, w) for w in W]
             chars.sort(key=EvenCharacter.sort_key)
             return chars
+        X = restricted(rng.standard_normal(m))
     raise ClusteringAmbiguityError(
         "no combination of the even basis separated the characters "
         f"(multiplicativity residual {resid:.3e})"
@@ -200,7 +209,7 @@ def _extend(algebra: KreinAlgebra, values: np.ndarray) -> tuple[np.ndarray, np.n
             "algebra has no odd generator; even characters cannot be extended"
         )
     eye, alpha = np.eye(algebra.dim), algebra.alpha_coord
-    eps = _left_mul(algebra, algebra.odd_generator_coords)
+    eps = algebra._left_matrices(algebra.odd_generator_coords).T  # column j: e B_j
     # omega on full coordinates, applied to the even part and to e times the odd part
     phi = values @ algebra.even_basis.conj().T
     return phi @ (eye + alpha) / 2.0, phi @ eps @ (eye - alpha) / 2.0
@@ -250,7 +259,7 @@ def _axiom_residuals(algebra: KreinAlgebra, A: np.ndarray, B: np.ndarray) -> dic
         "alpha_equivariance": worst(A @ alpha - A, B @ alpha + B),
     }
     if algebra.odd_generator_coords is not None:
-        eps = _left_mul(algebra, algebra.odd_generator_coords)
+        eps = algebra._left_matrices(algebra.odd_generator_coords).T
         out["odd_symmetry"] = worst(B @ eps - A, A @ eps - B)
     return out
 
@@ -337,7 +346,7 @@ def character_kernel_ideal(
     ob = algebra.odd_basis
     members = [even_kernel.T]
     if ob.shape[1] and even_kernel.shape[1]:
-        members.append(_products(algebra, ob, even_kernel).reshape(-1, algebra.dim))
+        members.append((even_kernel.T @ algebra._left_matrices(ob.T)).reshape(-1, algebra.dim))
     stacked = np.concatenate(members, axis=0)
     _, s2, vh2 = np.linalg.svd(stacked)
     return [GradedElement(algebra, row) for row in vh2[: _rank(s2, tol)]]

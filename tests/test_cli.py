@@ -402,6 +402,28 @@ class TestSpectrum:
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("tol", ["1e-9", "1e-6"])
+@pytest.mark.parametrize("cond_exp", [0, 4, 6], ids=["cond1", "cond1e4", "cond1e6"])
+@pytest.mark.parametrize("points", [2, 4, 8, 16])
+def test_mixed_frame_sweep(tmp_path, mixed_function_algebra, points, cond_exp, tol, command):
+    # every instance is a full function algebra; in ill-conditioned frames
+    # other verdicts still move with the frame, so only these are asserted
+    alg, _ = mixed_function_algebra(points, cond_exp)
+    inst, report = tmp_path / "mixed.json", tmp_path / "report.json"
+    inst.write_text(json.dumps(algebra_to_instance_dict(alg)))
+    code = main([command, "--input", str(inst), "--tol", tol, "--report", str(report)])
+    if cond_exp == 0:
+        assert code == 0
+    if code == 2:  # construction rejected the frame: no report
+        return
+    blob = json.loads(report.read_text())
+    if command == "verify":
+        assert next(c for c in blob["checks"] if c["name"] == "fullness")["passed"]
+    elif code == 3:
+        assert blob["error"]["hypothesis"] != "full"
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
 def test_each_run_takes_the_closure_certificates_once(tmp_path, monkeypatch, command):
     # construction takes them; every check reads what it stored
     inst = str(tmp_path / "rotated8.json")

@@ -51,6 +51,7 @@ from kreinalg.finite_krein import (
     _IMPLIED,
     _VERIFY_ROWS,
     _certificates,
+    _fullness_margin,
     _implied_rows,
     _matrix_from_json,
 )
@@ -673,9 +674,39 @@ class TestInnerProducts:
 
 
 class TestVerdicts:
-    def test_fullness(self, fn3, nonfull_algebra):
-        assert check_full(fn3)
-        assert not check_full(nonfull_algebra)
+    def test_fullness(self, fn3, nonfull_algebra, m2_algebra):
+        # g = sum_j y_j^dag y_j is the unit for any orthonormal odd coordinate
+        # basis of a function algebra, in every unitary frame of the ambient
+        # space; without the odd element over a point (nonfull), or with a
+        # trivial odd part (m2), g is not invertible
+        rng = np.random.default_rng(11)
+        rotations = [conjugate_algebra(fn3, random_unitary(fn3.ambient_dim, rng)) for _ in range(3)]
+        for alg in (fn3, *rotations):
+            assert abs(_fullness_margin(alg) - 1.0) <= 1e-12
+            assert check_full(alg)
+        for alg in (nonfull_algebra, m2_algebra):
+            assert _fullness_margin(alg) <= 1e-15
+            assert not check_full(alg)
+
+    @pytest.mark.parametrize("points, p", [(n, p) for n in range(2, 9) for p in range(n)])
+    def test_fullness_fails_without_the_odd_element_over_a_point(self, points, p):
+        base = build_function_algebra(points)
+        alg = KreinAlgebra(np.delete(base.basis, 2 * p + 1, axis=0), base.symmetry_unitary)
+        assert not check_full(alg)
+
+    def test_fullness_and_characters_hold_no_pair_product_stack(self):
+        # one (k^2, d) stack of odd pair products would take k^2 d 16 B = 1 MiB;
+        # both read one multiplication matrix per element instead
+        alg = rotated_function_algebra(32)
+        k, d = alg.odd_basis.shape[1], alg.dim
+        for call in (check_full, even_characters):
+            tracemalloc.start()
+            try:
+                call(alg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < k * k * d * 16, call.__name__
 
     def test_commutative_symmetric_agreement(self, fn3, conj3, m2_algebra, nonfull_algebra):
         # an antisymmetric defect in one even x odd pair: B_0 B_1 != B_1 B_0
@@ -730,7 +761,7 @@ class TestVerdicts:
         alg.odd_generator_coords = np.full(alg.dim, math.nan + 0j)
         verdict = check_odd_symmetry(alg)
         assert verdict.exists is False and verdict.isometric is False
-        assert len(verdict.failures) == 4
+        assert len(verdict.failures) == 3
         assert math.isnan(verdict.max_residual)
 
 
