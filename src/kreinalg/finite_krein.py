@@ -21,14 +21,15 @@ image exactly on the pivots, so closure is certified off them: one seeded
 random combination of the basis fills the left slot of the products, or
 stands in for the basis under the adjoint and alpha, and Gaussian probe
 columns V test the defects in O(d n^2 s) time for s = _PROBES (Freivalds,
-1977).  ``coords_of_matrix`` keeps a full span-membership residual.  The
-unit solves a 2d x d random sketch of its (2d^2, d) system,
-u w_1 = w_1 and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson
-& Tropp, SIAM Rev. 53(2), 2011), in O(d^3); its backward error stays on the
-full system, in the Frobenius norm, and a sketched unit that fails it is
-solved again on the full system.  After construction, an element's
-multiplication matrix is one GEMM against the structure tensor
-(``KreinAlgebra._left_matrices``); fullness reads that of g = sum_j y_j^dag y_j.
+1977); construction keeps that combination as the random slot of the later
+Freivalds tests.  ``coords_of_matrix`` keeps a full span-membership residual.
+The unit solves a 2d x d random sketch of its (2d^2, d) system, u w_1 = w_1
+and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson & Tropp, SIAM
+Rev. 53(2), 2011), in O(d^3); its backward error stays on the full system,
+in the Frobenius norm, and a sketched unit that fails it is solved again on
+the full system.  After construction, an element's multiplication matrix is
+one GEMM against the structure tensor (``KreinAlgebra._left_matrices``);
+fullness reads that of g = sum_j y_j^dag y_j.
 
 The axiom checks are theorems of matrix arithmetic.  The norm axioms hold
 for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0, ||x x^dag|| =
@@ -227,24 +228,26 @@ def _certificates(algebra: "KreinAlgebra") -> tuple[float, float, float]:
     Gaussian probe columns V (n x _PROBES, E||M V||_F^2 = ||M||_F^2) and two
     random combinations x, y of the basis are drawn, in that order, from the
     seed of the basis bytes, so each certificate is a function of the input
-    alone and no fixed probe can be aimed at.  product: the worst over j of
-    ||sum_i x_i E_ij V|| / max(1, ||X B_j V||) for the closure defects
-    E_ij = B_i B_j - sum_k structure[i, j, k] B_k and X = sum_i x_i B_i; the
-    defect is linear in x, so a nonzero E_ij survives the random slot and the
-    probes almost surely (Freivalds, 1977).  adjoint and alpha:
-    ||Y^H V - R V|| / max(1, ||Y^H V||) and the same for U Y U, for
-    Y = sum_j y_j B_j and R the span member of the image's coordinates.  The
-    pivot solve fits every image to zero on the pivots, so only the probes
-    see a defect.  O(d n^2 _PROBES + d^2 n _PROBES): on a 2-core host, 0.4 ms
-    for rotated N = 16 and 12 ms for N = 64."""
+    alone and no fixed probe can be aimed at; construction keeps x as
+    ``algebra._slot``, the random slot of the later checks.  product: the
+    worst over j of ||sum_i x_i E_ij V|| / max(1, ||X B_j V||) for the
+    closure defects E_ij = B_i B_j - sum_k structure[i, j, k] B_k and
+    X = sum_i x_i B_i; the defect is linear in x, so a nonzero E_ij survives
+    the random slot and the probes almost surely (Freivalds, 1977).  adjoint
+    and alpha: ||Y^H V - R V|| / max(1, ||Y^H V||) and the same for U Y U,
+    for Y = sum_j y_j B_j and R the span member of the image's coordinates.
+    The pivot solve fits every image to zero on the pivots, so only the
+    probes see a defect.  O(d n^2 _PROBES + d^2 n _PROBES): on a 2-core host,
+    0.4 ms for rotated N = 16 and 12 ms for N = 64."""
     B, U, d, n = algebra.basis, algebra.symmetry_unitary, algebra.dim, algebra.ambient_dim
     rng = np.random.default_rng(algebra._seed)
     V = _random_coords(rng, n, _PROBES) / np.sqrt(_PROBES)
     BV = B @ V  # (d, n, s)
     x, y = _random_coords(rng, 2, d)
+    algebra._slot = x
     BV_cols = BV.transpose(1, 0, 2).reshape(n, d * _PROBES)  # [B_1 V ... B_d V]
     prods = (algebra.materialize(x) @ BV_cols).reshape(n, d, _PROBES).transpose(1, 0, 2).reshape(d, -1)
-    xS = (x @ algebra.structure.reshape(d, d * d)).reshape(d, d)
+    xS = algebra._left_matrices(x)
     Y = algebra.materialize(y)
     return (
         _rel(prods - xS @ BV.reshape(d, -1), prods),
@@ -355,7 +358,7 @@ class KreinAlgebra:
     O(d^3) sketch solve and its O(d^3) backward error (``_resolve_unit``).
     The closure certificates (``_certificates``) are taken once, here:
     ``validation_residuals`` keeps them as ``product_closure``,
-    ``adjoint_closure`` and ``alpha_closure``.
+    ``adjoint_closure`` and ``alpha_closure``, and ``_slot`` keeps their x.
     """
 
     def __init__(
@@ -515,18 +518,17 @@ class KreinAlgebra:
         Frobenius norm, sqrt(2) ||structure||_F, in O(d^3): Higham's bound
         holds for any consistent norm, and ||A||_F >= ||A||_2."""
         S, d = self.structure, self.dim
-        # row j of F and of T: column j of the full system's left and right halves,
-        # so c @ F and c @ T give the coordinates of every c B_i and B_i c
+        # row j of F: column j of the full system's left half, so c @ F gives the
+        # coordinates of every c B_i; c @ S (stacked, no copy) those of every B_i c
         F = S.reshape(d, d * d)
-        T = S.transpose(1, 0, 2).reshape(d, d * d)
         rhs = np.tile(np.eye(d).reshape(-1), 2)
-        norm_a = math.sqrt(2.0) * float(np.linalg.norm(S))  # F and T only reshape S
+        norm_a = math.sqrt(2.0) * float(np.linalg.norm(S))  # A's halves rearrange S
 
         def backward_error(c: np.ndarray) -> float:
             # ||A x - b|| / (||A|| ||x|| + ||b||) (Higham, Accuracy and Stability of
             # Numerical Algorithms, 2nd ed., Thm 7.1): the absolute residual grows
             # like cond^2 of a change of basis, this does not
-            gap = np.concatenate([c @ F, c @ T]) - rhs
+            gap = np.concatenate([c @ F, (c @ S).reshape(-1)]) - rhs
             return float(np.linalg.norm(gap) / (norm_a * np.linalg.norm(c) + np.linalg.norm(rhs)))
 
         if unit_coords is not None:
@@ -539,7 +541,8 @@ class KreinAlgebra:
         sol = self._sketched_unit()
         resid = backward_error(sol)
         if not resid <= self.tol:
-            sol = np.linalg.lstsq(np.concatenate([F, T], axis=1).T, rhs, rcond=None)[0]
+            full = np.concatenate([F, S.transpose(1, 0, 2).reshape(d, d * d)], axis=1).T
+            sol = np.linalg.lstsq(full, rhs, rcond=None)[0]
             resid = backward_error(sol)
         return sol, resid
 
@@ -745,7 +748,7 @@ def check_full(algebra: KreinAlgebra, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True)
 class CommutativeSymmetricVerdict:
     """Joint verdict; the two conditions are equivalent (see
-    ``check_commutative_symmetric``), so flags and residuals come from one residual."""
+    ``check_commutative_symmetric``), so flags and residuals come from one relative residual."""
 
     commutative: bool
     symmetric_bimodule: bool
@@ -756,15 +759,17 @@ class CommutativeSymmetricVerdict:
 def check_commutative_symmetric(
     algebra: KreinAlgebra, tol: float = DEFAULT_TOL
 ) -> CommutativeSymmetricVerdict:
-    """Commutativity as max |S - S^T| relative to max(1, max |S|), for S the
-    structure tensor.  It is also the verdict on a commutative even part plus a
-    symmetric odd bimodule (a x = x a and x y^dag = y^dag x for even a, odd x, y):
-    y -> y^dag maps the odd part onto itself, so those commutators are S - S^T
-    in a graded basis, and one vanishes iff the other does."""
-    s = algebra.structure
-    comm = float(np.max(np.abs(s - s.transpose(1, 0, 2)), initial=0.0))
-    commutative = comm <= tol * max(1.0, float(np.max(np.abs(s))))
-    return CommutativeSymmetricVerdict(commutative, commutative, comm, comm)
+    """Commutativity as x B_j = B_j x for every basis element B_j, x the random
+    slot construction kept (``_certificates``): the commutator is linear in x,
+    so a noncommuting pair survives it almost surely (Freivalds, 1977).  Its
+    residual ||L - R||_F / (||L||_F + ||R||_F), L[j] and R[j] the coordinates of
+    x B_j and B_j x, meets tol, in O(d^2) memory.  It is also the verdict on a
+    commutative even part plus a symmetric odd bimodule (a x = x a, x y^dag =
+    y^dag x for even a, odd x, y): y -> y^dag maps the odd part onto itself, so
+    those commutators are S - S^T in a graded basis, S the structure tensor."""
+    left, right = algebra._left_matrices(algebra._slot), algebra._slot @ algebra.structure
+    comm = float(np.linalg.norm(left - right) / (np.linalg.norm(left) + np.linalg.norm(right)))
+    return CommutativeSymmetricVerdict(comm <= tol, comm <= tol, comm, comm)
 
 
 @dataclass(frozen=True)

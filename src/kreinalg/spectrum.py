@@ -18,8 +18,8 @@ Even characters are read off one multiplication matrix: the even part is a
 copy of C^m, so left multiplication by a generic even element is
 diagonalizable with the minimal projections as eigenvectors, and the
 characters are the dual basis.  A combination that fails to separate them is
-retried with fresh coefficients.  One random slot tests commutativity and
-multiplicativity, as it does the character axioms.
+retried with fresh coefficients.  Commutativity, multiplicativity and the
+character axioms are tested in the random slot construction kept.
 """
 
 from __future__ import annotations
@@ -122,15 +122,15 @@ def even_characters(
     Left multiplication by a random real combination x of the even basis,
     restricted to the even part, is diagonalized: its eigenvectors are the
     minimal projections, and the rows of the inverse eigenvector matrix,
-    scaled to read 1 on the unit, are the characters.  One complex Gaussian
-    even y, seeded from the basis bytes, fills one random slot (Freivalds,
-    1977) of two tests, each relative to the sizes of its terms: x y = y x
-    (else NotCommutativeError), and w(y e_j) = w(y) w(e_j) on the even basis
-    e_j to ``tol``, which accepts the characters.  Otherwise the next
-    combination is tried, and after ``retries`` attempts a
-    ClusteringAmbiguityError is raised.  The result is sorted
-    lexicographically by value tuple and its length always equals the even
-    dimension.  O(d^3): one multiplication matrix per element.
+    scaled to read 1 on the unit, are the characters.  y, the even
+    coordinates of the random slot construction kept (``KreinAlgebra._slot``),
+    fills one slot (Freivalds, 1977) of two tests, each relative to the sizes
+    of its terms: x y = y x (else NotCommutativeError), and w(y e_j) =
+    w(y) w(e_j) on the even basis e_j to ``tol``, which accepts the
+    characters.  Otherwise the next combination is tried, and after
+    ``retries`` attempts a ClusteringAmbiguityError is raised.  The result is
+    sorted lexicographically by value tuple and its length always equals the
+    even dimension.  O(d^3): one multiplication matrix per element.
     """
     eb, norm = algebra.even_basis, np.linalg.norm
     m = eb.shape[1]
@@ -140,7 +140,7 @@ def even_characters(
         return eb.conj().T @ (algebra._left_matrices(eb @ c).T @ eb)
 
     rng = np.random.default_rng(seed)
-    x, y = rng.standard_normal(m), _random_coords(np.random.default_rng(algebra._seed), 1, m)[0]
+    x, y = rng.standard_normal(m), eb.conj().T @ algebra._slot
     X, Y = restricted(x), restricted(y)
     # each gap is relative to the bounds ||M|| ||v|| of its terms M v
     comm = norm(X @ y - Y @ x) / (norm(X) * norm(y) + norm(Y) * norm(x))
@@ -230,19 +230,19 @@ def _axiom_residuals(algebra: KreinAlgebra, A: np.ndarray, B: np.ndarray) -> dic
     """Residuals of the character axioms, on the basis, for the characters
     whose a- and b-values are the rows of A and B.
 
-    ``multiplicative`` is a certificate: with x a complex Gaussian combination
-    of the basis seeded from the basis bytes, it is the worst over j of
-    ||w(x B_j) - w(x) w(B_j)|| relative to max(1, ||w(x)|| ||w(B_j)||), all
-    characters stacked, with products taken in the rank-one algebra.  The
-    identity is linear in x, so a defect on any basis pair survives the random
-    slot almost surely (Freivalds, 1977); O(N d^2) time after the O(d^3) left
-    multiplication matrix of x.  The others are absolute and linear on the
-    basis: w(B_j^*) = w(B_j)^*, w(1) = 1, w(alpha B_j) = gamma w(B_j) (which
-    also makes b vanish on the even part and a on the odd part, once
-    alpha^2 = id), and, when the algebra has an odd generator e,
-    w(e B_j) = epsilon w(B_j) (``odd_symmetry``).
+    ``multiplicative`` is a certificate: with x the random slot construction
+    kept (``KreinAlgebra._slot``), a complex Gaussian combination of the
+    basis, it is the worst over j of ||w(x B_j) - w(x) w(B_j)|| relative to
+    max(1, ||w(x)|| ||w(B_j)||), all characters stacked, with products taken
+    in the rank-one algebra.  The identity is linear in x, so a defect on any
+    basis pair survives the slot almost surely (Freivalds, 1977); O(N d^2)
+    time after the O(d^3) left multiplication matrix of x.  The others are
+    absolute and linear on the basis: w(B_j^*) = w(B_j)^*, w(1) = 1,
+    w(alpha B_j) = gamma w(B_j) (which also makes b vanish on the even part
+    and a on the odd part, once alpha^2 = id), and, when the algebra has an
+    odd generator e, w(e B_j) = epsilon w(B_j) (``odd_symmetry``).
     """
-    x = _random_coords(np.random.default_rng(algebra._seed), 1, algebra.dim)[0]
+    x = algebra._slot
     xB = algebra._left_matrices(x).T  # column j: coordinates of x B_j
     xa, xb = (A @ x)[:, None], (B @ x)[:, None]
     gap = np.concatenate([A @ xB - xa * A - xb * B, B @ xB - xa * B - xb * A])

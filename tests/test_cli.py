@@ -418,9 +418,11 @@ def test_mixed_frame_sweep(tmp_path, mixed_function_algebra, points, cond_exp, t
         return
     blob = json.loads(report.read_text())
     if command == "verify":
-        assert next(c for c in blob["checks"] if c["name"] == "fullness")["passed"]
+        checks = {c["name"]: c for c in blob["checks"]}
+        assert checks["fullness"]["passed"]
+        assert checks["commutative_symmetric"]["detail"].startswith("commutative=True ")
     elif code == 3:
-        assert blob["error"]["hypothesis"] != "full"
+        assert blob["error"]["hypothesis"] not in ("full", "commutative")
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

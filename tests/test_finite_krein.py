@@ -305,6 +305,19 @@ class TestConstruction:
         np.testing.assert_allclose(alg.unit_coords, base.unit_coords, rtol=0, atol=1e-14)
         assert alg.validation_residuals["unit"] <= 1e-15
 
+    def test_unit_holds_no_copy_of_the_structure_tensor(self):
+        # the sketch and the backward error read S in place; only the
+        # full-system fallback rearranges it
+        alg = rotated_function_algebra(32)
+        tracemalloc.start()
+        try:
+            _, resid = alg._resolve_unit(None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resid <= 1e-14
+        assert peak < alg.structure.nbytes / 4
+
     @pytest.mark.parametrize("argument", ["basis", "symmetry_unitary", "unit_coords", "odd_generator"])
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_arguments(self, argument, value):
@@ -695,11 +708,12 @@ class TestVerdicts:
         assert not check_full(alg)
 
     def test_fullness_and_characters_hold_no_pair_product_stack(self):
-        # one (k^2, d) stack of odd pair products would take k^2 d 16 B = 1 MiB;
-        # both read one multiplication matrix per element instead
+        # one (k^2, d) stack of odd pair products would take k^2 d 16 B = 1 MiB,
+        # a quarter of the structure tensor; these read one multiplication
+        # matrix per element instead, and commutativity reads S in place
         alg = rotated_function_algebra(32)
         k, d = alg.odd_basis.shape[1], alg.dim
-        for call in (check_full, even_characters):
+        for call in (check_full, even_characters, check_commutative_symmetric):
             tracemalloc.start()
             try:
                 call(alg)
@@ -708,23 +722,53 @@ class TestVerdicts:
                 tracemalloc.stop()
             assert peak < k * k * d * 16, call.__name__
 
-    def test_commutative_symmetric_agreement(self, fn3, conj3, m2_algebra, nonfull_algebra):
-        # an antisymmetric defect in one even x odd pair: B_0 B_1 != B_1 B_0
-        defective = copy.copy(conj3)
-        defective.structure = conj3.structure.copy()
-        defective.structure[0, 1, 1] += 1e-6
-        defective.structure[1, 0, 1] -= 1e-6
+    @staticmethod
+    def noncommuting(alg, i, j, k):
+        """alg with an antisymmetric 1e-6 defect in S[i, j, k] and S[j, i, k]:
+        B_i B_j != B_j B_i, and every other pair commutes as before."""
+        defective = copy.copy(alg)
+        defective.structure = alg.structure.copy()
+        defective.structure[i, j, k] += 1e-6
+        defective.structure[j, i, k] -= 1e-6
+        return defective
+
+    def test_commutative_symmetric_agreement(
+        self, fn3, conj3, m2_algebra, nonfull_algebra, no_generator_algebra, broken_generator_algebra
+    ):
         for alg, expected in (
             (fn3, True),
             (conj3, True),
             (m2_algebra, False),
             (nonfull_algebra, True),
-            (defective, False),
+            (no_generator_algebra, True),
+            (broken_generator_algebra, True),
+            (self.noncommuting(conj3, 0, 1, 1), False),  # one even x odd pair
         ):
-            verdict = check_commutative_symmetric(alg)
-            assert verdict.commutative is expected
-            assert verdict.symmetric_bimodule is expected
-            assert verdict.commutator_residual == verdict.symmetry_residual
+            assert check_commutative_symmetric(alg).commutative is expected
+            # the residual does not depend on tol, and is what tol judges
+            for tol in (1e-12, DEFAULT_TOL, 1e-3):
+                verdict = check_commutative_symmetric(alg, tol)
+                assert verdict.commutative == (verdict.commutator_residual <= tol)
+                assert verdict.symmetric_bimodule is verdict.commutative
+                assert verdict.commutator_residual == verdict.symmetry_residual
+
+    @pytest.mark.parametrize(
+        "points, i, j", [(n, i, j) for n in (2, 3) for j in range(2 * n) for i in range(j)]
+    )
+    def test_the_random_slot_misses_no_noncommuting_pair(self, points, i, j):
+        alg = rotated_function_algebra(points)
+        assert check_commutative_symmetric(alg).commutative
+        assert not check_commutative_symmetric(self.noncommuting(alg, i, j, j)).commutative
+
+    @pytest.mark.parametrize("cond_exp", [0, 4, 6], ids=["cond1", "cond1e4", "cond1e6"])
+    @pytest.mark.parametrize("points", [2, 4, 8, 16])
+    def test_commutativity_residual_is_relative_in_mixed_frames(
+        self, points, cond_exp, mixed_function_algebra
+    ):
+        # max |S - S^T| reads 4.6e-13 at points 2, cond 1e4: the frame scales S
+        verdict = check_commutative_symmetric(mixed_function_algebra(points, cond_exp)[0])
+        assert verdict.commutative
+        assert verdict.commutator_residual <= 1e-14
 
     def test_odd_symmetry_presence(self, fn3):
         verdict = check_odd_symmetry(fn3)
