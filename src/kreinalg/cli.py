@@ -54,6 +54,7 @@ from .finite_krein import (
     _matrix_instance,
     _pairs_to_json,
 )
+from .spectrum import ClusteringAmbiguityError, NotCommutativeError
 from .spectrum import SpectralHypothesisError, verify_spectral_theorem
 
 __all__ = ["RunConfig", "run_verify", "run_spectrum", "run_gen", "run_counterexample", "main"]
@@ -333,7 +334,7 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_spectrum(cfg: RunConfig) -> int:
-    """Spectral-theorem suite; exit 3 when a hypothesis fails."""
+    """Spectral-theorem suite; exit 3 on a failed hypothesis, 1 on a failed check or finder."""
     try:
         algebra = _load_algebra(cfg)
     except (InstanceFormatError, AlgebraValidationError) as exc:
@@ -342,12 +343,14 @@ def run_spectrum(cfg: RunConfig) -> int:
 
     try:
         report = verify_spectral_theorem(algebra, seed=cfg.seed, tol=cfg.tol)
-    except SpectralHypothesisError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        error = {"hypothesis": exc.hypothesis, "message": str(exc)}
+    except (SpectralHypothesisError, ClusteringAmbiguityError, NotCommutativeError) as exc:
+        hypothesis = isinstance(exc, SpectralHypothesisError)
+        print(f"hypothesis failure: {exc}" if hypothesis else f"error: {exc}", file=sys.stderr)
+        error = {"hypothesis": exc.hypothesis} if hypothesis else {"check": "characters"}
+        error["message"] = str(exc)
         if not _dump_json({"command": "spectrum", "error": error}, cfg.output_path):
             return EXIT_BAD_INPUT
-        return EXIT_HYPOTHESIS
+        return EXIT_HYPOTHESIS if hypothesis else EXIT_CHECK_FAILED
 
     print(f"spectrum: {cfg.input_path}")
     print(f"  spectrum size {report.spectrum_size}, transform rank {report.transform_rank}")

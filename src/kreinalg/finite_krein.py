@@ -29,7 +29,8 @@ Rev. 53(2), 2011), in O(d^3); its backward error stays on the full system,
 in the Frobenius norm, and a sketched unit that fails it is solved again on
 the full system.  After construction, an element's multiplication matrix is
 one GEMM against the structure tensor (``KreinAlgebra._left_matrices``);
-fullness reads that of g = sum_j y_j^dag y_j.
+fullness reads that of g = sum_j y_j^dag y_j.  Every residual is relative
+to the sizes of the terms it compares (``_relative``), with no floor.
 
 The axiom checks are theorems of matrix arithmetic.  The norm axioms hold
 for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0, ||x x^dag|| =
@@ -168,20 +169,14 @@ def _random_coords(rng: np.random.Generator, samples: int, k: int) -> np.ndarray
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
-def _worst(err, scale) -> float:
-    """Largest error relative to max(1, scale); 0 for no samples."""
-    return float(np.max(np.asarray(err) / np.maximum(1.0, scale), initial=0.0))
-
-
-def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
-    """Worst norm of stacked coordinate vectors ``diff`` relative to ``ref``."""
-    return _worst(np.linalg.norm(diff, axis=-1), np.linalg.norm(ref, axis=-1))
-
-
-def _probe_gap(image_V: np.ndarray, coords: np.ndarray, BV: np.ndarray) -> float:
-    """``_rel`` of a probed image M V (n x s) against the probed span member
-    of coordinates ``coords`` (sum_k coords_k B_k) V, with BV = B @ V."""
-    return _rel((image_V - np.tensordot(coords, BV, axes=1)).reshape(-1), image_V.reshape(-1))
+def _relative(err, size) -> float:
+    """The largest err / size, elementwise: every residual here and in ``spectrum``
+    is an error over the summed sizes of the terms it compares, with no floor, so
+    no verdict moves when the basis is scaled (README, "Residuals").  A zero error
+    reads 0 and a NaN propagates; 0 for no samples."""
+    err = np.asarray(err, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(err == 0, 0.0, err / size), initial=0.0))
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
@@ -229,16 +224,16 @@ def _certificates(algebra: "KreinAlgebra") -> tuple[float, float, float]:
     random combinations x, y of the basis are drawn, in that order, from the
     seed of the basis bytes, so each certificate is a function of the input
     alone and no fixed probe can be aimed at; construction keeps x as
-    ``algebra._slot``, the random slot of the later checks.  product: the
-    worst over j of ||sum_i x_i E_ij V|| / max(1, ||X B_j V||) for the
-    closure defects E_ij = B_i B_j - sum_k structure[i, j, k] B_k and
-    X = sum_i x_i B_i; the defect is linear in x, so a nonzero E_ij survives
-    the random slot and the probes almost surely (Freivalds, 1977).  adjoint
-    and alpha: ||Y^H V - R V|| / max(1, ||Y^H V||) and the same for U Y U,
-    for Y = sum_j y_j B_j and R the span member of the image's coordinates.
-    The pivot solve fits every image to zero on the pivots, so only the
-    probes see a defect.  O(d n^2 _PROBES + d^2 n _PROBES): on a 2-core host,
-    0.4 ms for rotated N = 16 and 12 ms for N = 64."""
+    ``algebra._slot``, the random slot of the later checks.  Each compares a
+    probed image M V with the probed span member R V of its coordinates,
+    relative to ||M V|| + ||R V||.  product: the worst over j, for M = X B_j
+    and X = sum_i x_i B_i; the closure defects E_ij = B_i B_j -
+    sum_k structure[i, j, k] B_k enter it linearly in x, so a nonzero E_ij
+    survives the random slot and the probes almost surely (Freivalds, 1977).
+    adjoint and alpha: M = Y^H and U Y U for Y = sum_j y_j B_j.  The pivot
+    solve fits every image to zero on the pivots, so only the probes see a
+    defect.  O(d n^2 _PROBES + d^2 n _PROBES): on a 2-core host, 0.4 ms for
+    rotated N = 16 and 12 ms for N = 64."""
     B, U, d, n = algebra.basis, algebra.symmetry_unitary, algebra.dim, algebra.ambient_dim
     rng = np.random.default_rng(algebra._seed)
     V = _random_coords(rng, n, _PROBES) / np.sqrt(_PROBES)
@@ -247,13 +242,13 @@ def _certificates(algebra: "KreinAlgebra") -> tuple[float, float, float]:
     algebra._slot = x
     BV_cols = BV.transpose(1, 0, 2).reshape(n, d * _PROBES)  # [B_1 V ... B_d V]
     prods = (algebra.materialize(x) @ BV_cols).reshape(n, d, _PROBES).transpose(1, 0, 2).reshape(d, -1)
-    xS = algebra._left_matrices(x)
-    Y = algebra.materialize(y)
-    return (
-        _rel(prods - xS @ BV.reshape(d, -1), prods),
-        _probe_gap(Y.conj().T @ V, algebra.dagger_coord @ np.conj(y), BV),
-        _probe_gap(U @ (Y @ (U @ V)), algebra.alpha_coord @ y, BV),
+    Y, BV, norm = algebra.materialize(y), BV.reshape(d, -1), np.linalg.norm
+    pairs = (  # probed images M V and the probed span members R V of their coordinates
+        (prods, algebra._left_matrices(x) @ BV),
+        ((Y.conj().T @ V).reshape(-1), algebra.dagger_coord @ np.conj(y) @ BV),
+        ((U @ (Y @ (U @ V))).reshape(-1), algebra.alpha_coord @ y @ BV),
     )
+    return tuple(_relative(norm(M - R, axis=-1), norm(M, axis=-1) + norm(R, axis=-1)) for M, R in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,13 +292,17 @@ class GradedElement:
     def dagger(self) -> "GradedElement":
         return GradedElement(self.algebra, self.algebra.dagger_coord @ np.conj(self.coords))
 
+    def _grading_gap(self, sign: int) -> float:
+        """alpha(x) against sign * x, alpha(x) sized by its factors entry by entry,
+        |alpha_coord| |x|, since it cancels in an ill-conditioned basis."""
+        A, x, norm = self.algebra.alpha_coord, self.coords, np.linalg.norm
+        return _relative(norm(A @ x - sign * x), norm(abs(A) @ abs(x)) + norm(x))
+
     def is_odd(self, tol: float = DEFAULT_TOL) -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.coords)))
-        return float(np.linalg.norm(self.algebra.even_projection(self.coords))) <= tol * scale
+        return self._grading_gap(-1) <= tol
 
     def is_even(self, tol: float = DEFAULT_TOL) -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.coords)))
-        return float(np.linalg.norm(self.algebra.odd_projection(self.coords))) <= tol * scale
+        return self._grading_gap(1) <= tol
 
     def __add__(self, other):
         if isinstance(other, GradedElement) and other.algebra is self.algebra:
@@ -397,7 +396,7 @@ class KreinAlgebra:
         sv = np.linalg.svd(r, compute_uv=False)
         # more matrices than entries cannot be independent, whatever the d-th
         # singular value (there are only min(d, n^2) of them) would say
-        indep = float(sv[-1] / sv[0]) if d <= n * n and sv[0] > 0 else 0.0
+        indep = _relative(sv[-1], sv[0]) if d <= n * n else 0.0
         self.validation_residuals["basis_independence"] = indep
         if not indep > tol:
             raise AlgebraValidationError("basis is not linearly independent")
@@ -408,11 +407,13 @@ class KreinAlgebra:
         self._block = flat[:, piv].T  # coordinates c of M solve K^T c = M[p, q]
         del frame  # as large as the basis; free it before the structure tensor
 
-        r_unitary = float(np.linalg.norm(U.conj().T @ U - np.eye(n), 2))
+        # U^H U and U^2 against I, each sized ||U||^2 + ||I||: ||U^H U|| = ||U||^2 >= ||U^2||
+        size = np.linalg.norm(U, 2) ** 2 + 1.0
+        r_unitary = _relative(np.linalg.norm(U.conj().T @ U - np.eye(n), 2), size)
         self.validation_residuals["symmetry_unitarity"] = r_unitary
         if not r_unitary <= tol:
             raise AlgebraValidationError("symmetry_unitary not unitary")
-        r_invol = float(np.linalg.norm(U @ U - np.eye(n), 2))
+        r_invol = _relative(np.linalg.norm(U @ U - np.eye(n), 2), size)
         self.validation_residuals["symmetry_involution"] = r_invol
         if not r_invol <= tol:
             raise AlgebraValidationError("symmetry_unitary is not an involution")
@@ -474,17 +475,6 @@ class KreinAlgebra:
 
     # -- coordinate plumbing ------------------------------------------------
 
-    def _batch_coords(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coordinates (..., d) of matrices (..., n, n) plus the worst span residual."""
-        vecs = _vec(mats)
-        entries = vecs[..., self._pivots].reshape(-1, self.dim)
-        coords = np.linalg.solve(self._block, entries.T).T.reshape(vecs.shape[:-1] + (self.dim,))
-        recon = coords @ _vec(self.basis)
-        recon -= vecs
-        errs = np.linalg.norm(recon, axis=-1)
-        scales = np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
-        return coords, float(np.max(errs / scales, initial=0.0))
-
     def _pivot_structure(self) -> np.ndarray:
         """Structure tensor from the pivot entries of every basis product,
         (B_i B_j)[p_t, q_t] = B_i[p_t, :] B_j[:, q_t], taken as one batched
@@ -529,7 +519,7 @@ class KreinAlgebra:
             # Numerical Algorithms, 2nd ed., Thm 7.1): the absolute residual grows
             # like cond^2 of a change of basis, this does not
             gap = np.concatenate([c @ F, (c @ S).reshape(-1)]) - rhs
-            return float(np.linalg.norm(gap) / (norm_a * np.linalg.norm(c) + np.linalg.norm(rhs)))
+            return _relative(np.linalg.norm(gap), norm_a * np.linalg.norm(c) + np.linalg.norm(rhs))
 
         if unit_coords is not None:
             sol = _finite("unit_coords", unit_coords).reshape(-1)
@@ -551,9 +541,14 @@ class KreinAlgebra:
         return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=1)
 
     def coords_of_matrix(self, mat, tol: float | None = None) -> np.ndarray:
-        """Coordinates of an ambient matrix, raising SpanError off the span."""
+        """Coordinates (..., d) of ambient matrices (..., n, n), raising SpanError
+        when the worst span residual, relative to both sides, exceeds tol."""
         tol = self.tol if tol is None else tol
-        coords, resid = self._batch_coords(np.asarray(mat, dtype=complex))
+        vecs = _vec(np.asarray(mat, dtype=complex))
+        entries = vecs[..., self._pivots].reshape(-1, self.dim)
+        coords = np.linalg.solve(self._block, entries.T).T.reshape(vecs.shape[:-1] + (self.dim,))
+        recon, norm = coords @ _vec(self.basis), np.linalg.norm
+        resid = _relative(norm(recon - vecs, axis=-1), norm(recon, axis=-1) + norm(vecs, axis=-1))
         if not resid <= tol:
             raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
         return coords
@@ -678,7 +673,8 @@ def _conjugated(basis: np.ndarray, symmetry: np.ndarray, unitary, tol: float) ->
     n = symmetry.shape[0]
     if Q.shape != (n, n):
         raise AlgebraValidationError(f"conjugating unitary must be {n} x {n}")
-    if not np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= tol:
+    gap = np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2)
+    if not _relative(gap, np.linalg.norm(Q, 2) ** 2 + 1.0) <= tol:  # ||Q^H Q|| = ||Q||^2
         raise AlgebraValidationError("conjugating matrix is not unitary")
     return Q @ basis @ Q.conj().T, Q @ symmetry @ Q.conj().T
 
@@ -737,7 +733,7 @@ def _fullness_margin(algebra: KreinAlgebra) -> float:
     G = (algebra.dagger_coord @ np.conj(ob)) @ ob.T  # sum_j dagger(y_j) y_j^T
     g = G.reshape(d * d) @ algebra.structure.reshape(d * d, d)  # sum_il G[i, l] S[i, l, :]
     s = np.linalg.svd(algebra._left_matrices(g).T @ algebra.even_basis, compute_uv=False)
-    return float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    return _relative(s[-1], s[0])
 
 
 def check_full(algebra: KreinAlgebra, tol: float = DEFAULT_TOL) -> bool:
@@ -768,7 +764,7 @@ def check_commutative_symmetric(
     y^dag x for even a, odd x, y): y -> y^dag maps the odd part onto itself, so
     those commutators are S - S^T in a graded basis, S the structure tensor."""
     left, right = algebra._left_matrices(algebra._slot), algebra._slot @ algebra.structure
-    comm = float(np.linalg.norm(left - right) / (np.linalg.norm(left) + np.linalg.norm(right)))
+    comm = _relative(np.linalg.norm(left - right), np.linalg.norm(left) + np.linalg.norm(right))
     return CommutativeSymmetricVerdict(comm <= tol, comm <= tol, comm, comm)
 
 
@@ -793,8 +789,11 @@ class OddSymmetryVerdict:
 def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> OddSymmetryVerdict:
     """Verify the supplied odd generator and the isometry of x -> e x.
 
-    Checks e odd, e^2 = unit and e* = -e.  With e odd, e* = alpha(e^dag) = -e
-    gives e^dag = e, so e^2 = 1 makes e unitary and ||e x|| = ||x|| holds
+    Checks alpha(e) = -e, e^2 = unit and e* = -e, relative to the sizes of the
+    terms.  alpha(e), e^2 and e* cancel in an ill-conditioned basis, so they are
+    sized by their factors entry by entry (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.5).  With e odd, e* = alpha(e^dag) =
+    -e gives e^dag = e, so e^2 = 1 makes e unitary and ||e x|| = ||x|| holds
     wherever the coordinates agree with the basis, as does alpha(e x) =
     -e alpha(x), which is therefore not tested: ``isometric`` is the three
     tests passing and the ``odd_symmetry`` row of ``_IMPLIED`` within tol, and
@@ -804,18 +803,15 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
     e = algebra.odd_generator_coords
     if e is None:
         return OddSymmetryVerdict(None, None, 0.0, ("odd generator absent",))
-    scale = max(1.0, float(np.linalg.norm(e)))
+    norm, u, absolute = np.linalg.norm, algebra.unit_coords, np.abs(e)
+    square, star = algebra._left_matrices(e).T @ e, algebra.star_coord @ np.conj(e)
+    square_size = norm(absolute @ np.tensordot(absolute, np.abs(algebra.structure), 1))
+    star_size = norm(np.abs(algebra.star_coord) @ absolute)
     # (residual, failure message); a NaN residual fails like a large one
     tests = [
-        (float(np.linalg.norm(algebra.even_projection(e))) / scale, "generator is not odd"),
-        (
-            float(np.linalg.norm(algebra._left_matrices(e).T @ e - algebra.unit_coords)) / scale**2,
-            "generator squared is not the unit",
-        ),
-        (
-            float(np.linalg.norm(algebra.star_coord @ np.conj(e) + e)) / scale,
-            "generator is not Krein anti-selfadjoint",
-        ),
+        (algebra.odd_generator._grading_gap(-1), "generator is not odd"),
+        (_relative(norm(square - u), square_size + norm(u)), "generator squared is not the unit"),
+        (_relative(norm(star + e), star_size + norm(e)), "generator is not Krein anti-selfadjoint"),
     ]
     failures = tuple(message for r, message in tests if not r <= tol)
 
@@ -922,15 +918,16 @@ def quotient_with_map(
     # orthonormal rows spanning the ideal coords (k, d) and their complement (d - k, d)
     ortho, comp = vh[:k], vh[k:]
 
-    def outside(vectors: np.ndarray) -> float:
-        # residual of coordinate vectors against the ideal coordinate span
-        return _rel(vectors - (vectors @ ortho.conj().T) @ ortho, vectors)
+    def outside(vectors: np.ndarray, sizes=None) -> float:
+        # coordinate vectors off the ideal coordinate span, relative to their sizes
+        gap = np.linalg.norm(vectors - (vectors @ ortho.conj().T) @ ortho, axis=-1)
+        return _relative(gap, np.linalg.norm(vectors, axis=-1) if sizes is None else sizes)
 
     if k:
-        # structure[i, j, k] holds (B_i B_j)_k
-        left = np.einsum("ri,ijk->rjk", ortho, algebra.structure)   # ideal * basis_j
-        right = np.einsum("rj,ijk->rik", ortho, algebra.structure)  # basis_i * ideal
-        r_ideal = max(outside(left.reshape(-1, d)), outside(right.reshape(-1, d)))
+        # ideal_r B_j and B_i ideal_r may vanish: sized ||ideal_r|| = 1 times a structure slice
+        S, norm = algebra.structure, np.linalg.norm
+        left = outside(algebra._left_matrices(ortho), norm(S, axis=(0, 2)))  # [r, j, :]
+        r_ideal = max(left, outside(ortho @ S, norm(S, axis=(1, 2))[:, None]))  # [i, r, :]
         if not r_ideal <= tol:
             raise NotAnIdealError(
                 f"subspace is not a two-sided ideal (residual {r_ideal:.3e})"
@@ -945,8 +942,7 @@ def quotient_with_map(
             raise NotAnIdealError(
                 f"ideal is not closed under the adjoint (residual {r_star:.3e})"
             )
-        unit_resid = outside(algebra.unit_coords[None, :])
-        if unit_resid <= tol:
+        if outside(algebra.unit_coords[None, :]) <= tol:
             raise NotAnIdealError("ideal contains the unit; quotient would be trivial")
 
     ideal_mats = algebra.materialize(ortho)  # (k, n, n)
@@ -963,11 +959,10 @@ def quotient_with_map(
     new_sym = W.conj().T @ algebra.symmetry_unitary @ W
     quot = KreinAlgebra(new_basis, new_sym, tol=tol)
 
-    # coordinate map: old basis vector i -> coords of W^dag B_i W in the new basis
-    coords, resid = quot._batch_coords(compressed)
-    if not resid <= tol:
-        raise SpanError(f"matrix is not in the basis span (residual {resid:.3e})")
-    cmap = coords.T
+    # coordinate map: old basis vector i -> coords of W^dag B_i W in the new basis.
+    # [ortho; comp] is unitary and the compression kills the ideal, so
+    # W^dag B_i W = sum_c conj(comp[c, i]) new_basis[c]
+    cmap = comp.conj()
     if algebra.odd_generator_coords is not None:
         # the map is linear, so it carries the generator's coordinates along
         quot.odd_generator_coords = cmap @ algebra.odd_generator_coords

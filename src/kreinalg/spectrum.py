@@ -9,10 +9,10 @@ representative of every class and lands in the function algebra over the
 class set; for commutative, imprimitive instances with an odd generator it
 is an isometric *-isomorphism.  ``verify_spectral_theorem`` checks the
 character axioms of the transform's rows on the basis (multiplicativity
-through one random slot, the rest as linear identities).  It samples no
-ambient norm: an injective *-homomorphism between C*-algebras is isometric,
-so the isometry check reads those axioms, the rank and the closure
-certificates construction took.
+through one random slot, the rest as linear identities), each relative to
+the sizes of its terms, and samples no ambient norm: an injective
+*-homomorphism between C*-algebras is isometric, so the isometry check
+reads those axioms, the rank and the closure certificates construction took.
 
 Even characters are read off one multiplication matrix: the even part is a
 copy of C^m, so left multiplication by a generic even element is
@@ -38,7 +38,7 @@ from .finite_krein import (
     _pairs_to_json,
     _random_coords,
     _rank,
-    _worst,
+    _relative,
     check_commutative_symmetric,
     check_full,
     check_odd_symmetry,
@@ -143,18 +143,18 @@ def even_characters(
     x, y = rng.standard_normal(m), eb.conj().T @ algebra._slot
     X, Y = restricted(x), restricted(y)
     # each gap is relative to the bounds ||M|| ||v|| of its terms M v
-    comm = norm(X @ y - Y @ x) / (norm(X) * norm(y) + norm(Y) * norm(x))
+    comm = _relative(norm(X @ y - Y @ x), norm(X) * norm(y) + norm(Y) * norm(x))
     if comm > tol:
         raise NotCommutativeError(f"even part is not commutative (residual {comm:.3e})")
 
-    unit = eb.conj().T @ algebra.unit_coords
-    for _ in range(max(1, retries)):
+    unit, resid = eb.conj().T @ algebra.unit_coords, float("nan")
+    for _ in range(retries):
         W = np.linalg.inv(np.linalg.eig(X)[1])
         W = W / (W @ unit)[:, None]
         wy = W @ y
         # column j: w(y e_j) - w(y) w(e_j) for every character w
         gaps = norm(W @ Y - wy[:, None] * W, axis=0)
-        resid = float(np.max(gaps / (norm(W) * norm(Y, axis=0) + norm(wy) * norm(W, axis=0))))
+        resid = _relative(gaps, norm(W) * norm(Y, axis=0) + norm(wy) * norm(W, axis=0))
         if resid <= tol:
             chars = [EvenCharacter(algebra, w) for w in W]
             chars.sort(key=EvenCharacter.sort_key)
@@ -232,41 +232,42 @@ def _axiom_residuals(algebra: KreinAlgebra, A: np.ndarray, B: np.ndarray) -> dic
 
     ``multiplicative`` is a certificate: with x the random slot construction
     kept (``KreinAlgebra._slot``), a complex Gaussian combination of the
-    basis, it is the worst over j of ||w(x B_j) - w(x) w(B_j)|| relative to
-    max(1, ||w(x)|| ||w(B_j)||), all characters stacked, with products taken
+    basis, it is the worst ||w(x B_j) - w(x) w(B_j)||, with products taken
     in the rank-one algebra.  The identity is linear in x, so a defect on any
     basis pair survives the slot almost surely (Freivalds, 1977); O(N d^2)
     time after the O(d^3) left multiplication matrix of x.  The others are
-    absolute and linear on the basis: w(B_j^*) = w(B_j)^*, w(1) = 1,
+    linear on the basis: w(B_j^*) = w(B_j)^*, w(1) = 1,
     w(alpha B_j) = gamma w(B_j) (which also makes b vanish on the even part
     and a on the odd part, once alpha^2 = id), and, when the algebra has an
-    odd generator e, w(e B_j) = epsilon w(B_j) (``odd_symmetry``).
+    odd generator e, w(e B_j) = epsilon w(B_j) (``odd_symmetry``).  Each is
+    worst over characters and basis elements, relative to the sizes of its
+    terms; w(c) may vanish, so it is sized by its factors ||w|| ||c||.
     """
-    x = algebra._slot
-    xB = algebra._left_matrices(x).T  # column j: coordinates of x B_j
+    norm, x = np.linalg.norm, algebra._slot
+    sizes = np.hypot(norm(A, axis=1), norm(B, axis=1))[:, None]  # ||w|| of every character
+
+    def linear(M: np.ndarray, a, b, rhs_size=sizes) -> float:
+        # w(M_j) against (a, b)_j for every character w and every column M_j of M
+        err = np.hypot(abs(A @ M - a), abs(B @ M - b))
+        return _relative(err, sizes * norm(M, axis=0) + rhs_size)
+
     xa, xb = (A @ x)[:, None], (B @ x)[:, None]
-    gap = np.concatenate([A @ xB - xa * A - xb * B, B @ xB - xa * B - xb * A])
-    scale = np.linalg.norm([xa, xb]) * np.linalg.norm(np.concatenate([A, B]), axis=0)
-
-    def worst(*diffs: np.ndarray) -> float:
-        return max(float(np.max(np.abs(diff), initial=0.0)) for diff in diffs)
-
-    u, alpha, star = algebra.unit_coords, algebra.alpha_coord, algebra.star_coord
+    wu = np.stack([A, B]) @ algebra.unit_coords  # rows: a- and b-values of w(1)
+    xB = algebra._left_matrices(x).T  # column j: coordinates of x B_j
     out = {
-        "multiplicative": _worst(np.linalg.norm(gap, axis=0), scale),
-        "unital": worst(A @ u - 1.0, B @ u),
-        "star": worst(A @ star - A.conj(), B @ star + B.conj()),
-        "alpha_equivariance": worst(A @ alpha - A, B @ alpha + B),
+        "multiplicative": linear(xB, xa * A + xb * B, xa * B + xb * A, sizes * np.hypot(abs(xa), abs(xb))),
+        "unital": _relative(norm(wu - [[1.0], [0.0]], axis=0), norm(wu, axis=0) + 1.0),
+        "star": linear(algebra.star_coord, A.conj(), -B.conj()),
+        "alpha_equivariance": linear(algebra.alpha_coord, A, -B),
     }
     if algebra.odd_generator_coords is not None:
-        eps = algebra._left_matrices(algebra.odd_generator_coords).T
-        out["odd_symmetry"] = worst(B @ eps - A, A @ eps - B)
+        out["odd_symmetry"] = linear(algebra._left_matrices(algebra.odd_generator_coords).T, B, A)
     return out
 
 
 def character_residuals(w: Character) -> dict[str, float]:
-    """Named residuals of the character axioms (see ``_axiom_residuals``);
-    ``multiplicative`` is relative, the others are absolute."""
+    """Named residuals of the character axioms (see ``_axiom_residuals``),
+    each relative to the sizes of the terms it compares."""
     out = _axiom_residuals(w.algebra, w.a_values[None], w.b_values[None])
     out.pop("odd_symmetry", None)
     return out
@@ -393,7 +394,7 @@ def verify_spectral_theorem(
     ``_axiom_residuals`` (the homomorphism property as a random-slot
     certificate; the star property, unitality and the intertwining of both
     symmetries as linear identities) and the round trip
-    max_j ||(T^+ T - I) e_j||.  An injective *-homomorphism between
+    max_j ||(T^+ T - I) e_j|| / (||T^+ T e_j|| + 1).  An injective *-homomorphism between
     C*-algebras is isometric, so ``isometry`` passes when T has rank d and
     the homomorphism, star, unit and alpha residuals and the closure
     certificates of the ``isometry`` row of ``finite_krein._IMPLIED`` are
@@ -446,8 +447,8 @@ def verify_spectral_theorem(
     implied = [r[key] for key in ("multiplicative", "star", "unital", "alpha_equivariance")]
     closure = _implied("isometry", algebra, tol)
     r_iso = float(np.max(implied + [closure.max_residual]))
-    Tinv = np.linalg.pinv(T) if rank == d else None
-    r_round = 0.0 if Tinv is None else float(np.max(np.linalg.norm(Tinv @ T - np.eye(d), axis=0)))
+    TT = np.linalg.pinv(T) @ T if rank == d else np.eye(d)  # T^+ T, once T has rank d
+    r_round = _relative(np.linalg.norm(TT - np.eye(d), axis=0), np.linalg.norm(TT, axis=0) + 1.0)
     for name, key in (
         ("homomorphism_product", "multiplicative"),
         ("homomorphism_star", "star"),
@@ -457,9 +458,7 @@ def verify_spectral_theorem(
     ):
         checks.append(CheckResult(name, r[key] <= tol, r[key]))
     checks.append(CheckResult("isometry", rank == d and r_iso <= tol, r_iso))
-    checks.append(
-        CheckResult("round_trip", Tinv is not None and r_round <= tol, r_round)
-    )
+    checks.append(CheckResult("round_trip", rank == d and r_round <= tol, r_round))
 
     passed = all(c.passed for c in checks)
     return SpectralReport(checks, N, classes, rank, cond, passed)
@@ -501,11 +500,13 @@ def kernel_lemma_checks(
     K = w.kernel_basis(tol)
     z = rng.standard_normal((samples, 2, K.shape[1]))
     X = (z[:, 0] + 1j * z[:, 1]) @ K.T
-    r_forward = _worst(w_norm(dagger_square(X)), np.linalg.norm(X, axis=-1) ** 2)
+    XX = dagger_square(X)  # w(x^dag x) vanishes on the kernel: sized ||w|| ||x^dag x||
+    size = np.linalg.norm(w.functional_matrix()) * np.linalg.norm(XX, axis=-1)
+    r_forward = _relative(w_norm(XX), size)
 
     X = _random_coords(rng, samples, algebra.dim)
-    lhs = w_norm(X) ** 2
-    r_identity = _worst(np.abs(lhs - w_norm(dagger_square(X))), lhs)
+    lhs, rhs = w_norm(X) ** 2, w_norm(dagger_square(X))
+    r_identity = _relative(np.abs(lhs - rhs), lhs + rhs)
 
     Kp = w.gamma_composed().kernel_basis(tol)
     same_dim = K.shape[1] == Kp.shape[1]

@@ -7,6 +7,7 @@ from kreinalg import (
     conjugate_algebra,
     random_unitary,
 )
+from kreinalg.finite_krein import _matrix_instance, _pairs_to_json
 
 
 @pytest.fixture(scope="session")
@@ -63,24 +64,41 @@ def no_generator_algebra():
     return KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=base.unit_coords)
 
 
+def _mixed_frame(points, cond_exp):
+    """The function algebra over ``points`` points with its basis mixed by
+    random_unitary . diag(logspace(0, -cond_exp)) . random_unitary (seed 0),
+    a GL(d) change of condition number 10**cond_exp: the mixed basis, the
+    symmetry unitary, the odd generator's mixed coordinates and the matrix
+    taking standard-frame coordinates to mixed-frame coordinates."""
+    base = build_function_algebra(points)
+    rng = np.random.default_rng(0)
+    scales = np.diag(np.logspace(0, -cond_exp, base.dim))
+    mix = random_unitary(base.dim, rng) @ scales @ random_unitary(base.dim, rng)
+    to_mixed = np.linalg.inv(mix).T
+    basis = np.einsum("ij,jab->iab", mix, base.basis)
+    return basis, base.symmetry_unitary, to_mixed @ base.odd_generator_coords, to_mixed
+
+
 @pytest.fixture(scope="session")
 def mixed_function_algebra():
-    """Builder of function algebras over ``points`` points whose basis is mixed
-    by random_unitary . diag(logspace(0, -cond_exp)) . random_unitary (seed 0),
-    a GL(d) change of condition number 10**cond_exp.  Returns the algebra and
-    the matrix taking standard-frame coordinates to mixed-frame coordinates."""
+    """Builder of the algebra of ``_mixed_frame`` and its change of
+    coordinates."""
 
     def build(points, cond_exp=4):
-        base = build_function_algebra(points)
-        rng = np.random.default_rng(0)
-        scales = np.diag(np.logspace(0, -cond_exp, base.dim))
-        mix = random_unitary(base.dim, rng) @ scales @ random_unitary(base.dim, rng)
-        to_mixed = np.linalg.inv(mix).T
-        alg = KreinAlgebra(
-            np.einsum("ij,jab->iab", mix, base.basis),
-            base.symmetry_unitary,
-            odd_generator=to_mixed @ base.odd_generator_coords,
-        )
-        return alg, to_mixed
+        basis, sym, generator, to_mixed = _mixed_frame(points, cond_exp)
+        return KreinAlgebra(basis, sym, odd_generator=generator), to_mixed
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def mixed_function_instance():
+    """Builder of the instance file contents of ``_mixed_frame``, written
+    without constructing the algebra, so frames construction rejects are
+    written too."""
+
+    def build(points, cond_exp):
+        basis, sym, generator, _ = _mixed_frame(points, cond_exp)
+        return _matrix_instance(basis, sym, generator, _pairs_to_json)
 
     return build

@@ -412,9 +412,9 @@ class TestCertificates:
     def test_coordinates_match_the_full_span_solve(self, points):
         alg = rotated_function_algebra(points)
         B, U = alg.basis, alg.symmetry_unitary
-        adjoints, r_adj = alg._batch_coords(B.conj().transpose(0, 2, 1))
-        images, r_alpha = alg._batch_coords(U @ B @ U)
-        assert max(r_adj, r_alpha) <= 1e-13
+        # both stacks are in the span to a residual of 1e-13, or this raises SpanError
+        adjoints = alg.coords_of_matrix(B.conj().transpose(0, 2, 1), tol=1e-13)
+        images = alg.coords_of_matrix(U @ B @ U, tol=1e-13)
         assert np.max(np.abs(alg.dagger_coord - adjoints.T)) <= 1e-14
         assert np.max(np.abs(alg.alpha_coord - images.T)) <= 1e-14
 
