@@ -16,8 +16,10 @@ counterexample
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
 arguments or an unwritable output path, 3 spectral-theorem hypothesis
 failure.  Instances and reports are compact RFC 8259 JSON, written by
-orjson, and deterministic in the input bytes and flags; instances are read
-with any whitespace, so indented files load too.
+orjson, and deterministic in the input bytes and flags.  A matrix instance
+in the canonical layout gen writes has its basis decoded from the file's
+bytes, one matrix at a time, with no list tree; any other file, with any
+whitespace or key order, is parsed whole, to the same algebra and report.
 """
 
 from __future__ import annotations
@@ -198,17 +200,25 @@ def _nests_within(raw: bytes, depth: int) -> bool:
     return not parens
 
 
-def _read_json(path: Path):
-    """The parsed instance file.  orjson parses it; json re-reads what orjson
-    rejects or would read differently, so that every error, and every value,
-    is json's: text nested deeper than _ORJSON_MAX_DEPTH, and an `ambient_dim`
-    or `points` that orjson returns as a float (as it does an integer beyond
-    64 bits).  The re-read goes through read_text, whose universal newlines
-    set the line numbers in json's messages."""
+def _read_bytes(path: Path) -> bytes:
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise InstanceFormatError(f"cannot read input: {exc}") from exc
+
+
+def _read_json(path: Path):
+    """The parsed instance file, every matrix as nested lists."""
+    return _parse_json(_read_bytes(path), path)
+
+
+def _parse_json(raw: bytes, path: Path):
+    """The JSON text raw, read from path.  orjson parses it; json re-reads
+    what orjson rejects or would read differently, so that every error, and
+    every value, is json's: text nested deeper than _ORJSON_MAX_DEPTH, and an
+    `ambient_dim` or `points` that orjson returns as a float (as it does an
+    integer beyond 64 bits).  The re-read goes through read_text, whose
+    universal newlines set the line numbers in json's messages."""
     if _nests_within(raw, _ORJSON_MAX_DEPTH):
         try:
             data = orjson.loads(raw)
@@ -221,7 +231,6 @@ def _read_json(path: Path):
             ):
                 return data
             del data
-    del raw
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -236,11 +245,86 @@ def _read_json(path: Path):
         raise InstanceFormatError("invalid JSON: nested too deep to parse") from exc
 
 
+# A canonical instance is the text _pieces writes, compact with sorted keys,
+# so a matrix_algebra file opens with its ambient_dim and then its basis.
+# Ten digits are more than any file can hold the basis of.
+_CANONICAL_HEAD = re.compile(rb'\{"ambient_dim":([1-9][0-9]{0,9}),"basis":\[')
+# number characters and JSON whitespace: a basis matrix without them is its
+# bracket skeleton
+_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _canonical_instance(raw: bytes) -> dict | None:
+    """The instance in raw, its basis decoded from the bytes into one
+    (d, n, n) complex array, when raw is a canonical matrix_algebra instance
+    whose basis the tree reader would accept; None otherwise.
+
+    Each basis matrix is the span up to its first ``]]]``, followed by a
+    comma, or by the basis's ``]`` after the last.  With number characters
+    and whitespace deleted, the span must be exactly the skeleton of n rows
+    of n [re, im] pairs, so every leaf slot holds one number token or
+    nothing.  With its brackets blanked, orjson reads those tokens as it
+    would in the whole document, and must find 2n² finite numbers.  The rest
+    of the text, the basis replaced by 0, takes the tree reader's nesting
+    guard and orjson; it must hold no backslash (an escaped key) and no
+    second "basis" key, so that duplicate keys resolve as json resolves
+    them."""
+    head = _CANONICAL_HEAD.match(raw)
+    if head is None:
+        return None
+    n = int(head[1])
+    spans, sep, end = [], b",", head.end() - 1
+    while sep == b",":
+        begin, end = end + 1, raw.find(b"]]]", end + 1) + 3
+        if end < begin:  # no "]]]" left
+            return None
+        spans.append((begin, end))
+        sep = raw[end : end + 1]
+    # each pair takes 5 bytes or more: nothing is sized by an ambient_dim or a
+    # basis the file cannot hold
+    if sep != b"]" or 5 * n * n * len(spans) > len(raw):
+        return None
+    row = b"[" + b",".join([b"[,]"] * n) + b"]"
+    skeleton = b"[" + b",".join([row] * n) + b"]"
+    basis = np.empty((len(spans), n, n), complex)
+    for (begin, end), values in zip(spans, basis.view(float).reshape(len(spans), -1)):
+        span = raw[begin:end]
+        if span.translate(None, _NUMBER_BYTES) != skeleton:
+            return None
+        try:
+            values[:] = orjson.loads(b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]")
+        except (orjson.JSONDecodeError, ValueError, OverflowError):
+            return None
+    if not np.isfinite(basis).all():
+        return None
+    rest = raw[: head.end() - 1] + b"0" + raw[end + 1 :]
+    if b"\\" in rest or rest.count(b'"basis"') != 1 or not _nests_within(rest, _ORJSON_MAX_DEPTH):
+        return None
+    try:
+        data = orjson.loads(rest)
+    except orjson.JSONDecodeError:
+        return None
+    # a duplicate ambient_dim other than n is left for the tree reader to name
+    if data.get("kind") != "matrix_algebra" or data["ambient_dim"] != n:
+        return None
+    data["basis"] = basis
+    return data
+
+
+def _read_instance(path: Path):
+    """The instance file parsed, its basis decoded by _canonical_instance when
+    the file is canonical, else the tree _parse_json reads."""
+    raw = _read_bytes(path)
+    data = _canonical_instance(raw)
+    return _parse_json(raw, path) if data is None else data
+
+
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
-    # the parsed tree lives only as the call's argument, so it is freed
+    # a parsed tree lives only as the call's argument, so it is freed
     # before the collector is switched back on
     with _gc_paused():
-        return algebra_from_instance_dict(_read_json(cfg.input_path), tol=cfg.tol)
+        return algebra_from_instance_dict(_read_instance(cfg.input_path), tol=cfg.tol)
 
 
 def _drawable(cfg: RunConfig) -> bool:

@@ -1082,7 +1082,9 @@ def algebra_to_instance_dict(algebra: KreinAlgebra) -> dict:
 
 def algebra_from_instance_dict(data, tol: float = DEFAULT_TOL) -> KreinAlgebra:
     """Build an algebra from its JSON form; InstanceFormatError on bad input,
-    AlgebraValidationError when the data is well-formed but not an algebra."""
+    AlgebraValidationError when the data is well-formed but not an algebra.
+    A matrix_algebra's basis is a list of matrices, or one (d, n, n) complex
+    array already decoded, as the CLI reads it from a canonical file."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object", "")
     kind = data.get("kind")
@@ -1098,17 +1100,19 @@ def algebra_from_instance_dict(data, tol: float = DEFAULT_TOL) -> KreinAlgebra:
         n = data["ambient_dim"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InstanceFormatError("ambient_dim must be a positive integer", "ambient_dim")
-        raw_basis = data["basis"]
-        if not isinstance(raw_basis, list) or not raw_basis:
-            raise InstanceFormatError("expected a non-empty list of matrices", "basis")
-        mats = []
-        for i, rows in enumerate(raw_basis):
-            M = _matrix_from_json(rows, f"basis[{i}]")
-            if M.shape != (n, n):
-                raise InstanceFormatError(
-                    f"matrix must be {n} x {n}, got {M.shape}", f"basis[{i}]"
-                )
-            mats.append(M)
+        basis = data["basis"]
+        if not isinstance(basis, np.ndarray):
+            if not isinstance(basis, list) or not basis:
+                raise InstanceFormatError("expected a non-empty list of matrices", "basis")
+            mats = []
+            for i, rows in enumerate(basis):
+                M = _matrix_from_json(rows, f"basis[{i}]")
+                if M.shape != (n, n):
+                    raise InstanceFormatError(
+                        f"matrix must be {n} x {n}, got {M.shape}", f"basis[{i}]"
+                    )
+                mats.append(M)
+            basis = np.array(mats)
         U = _matrix_from_json(data["symmetry_unitary"], "symmetry_unitary")
         if U.shape != (n, n):
             raise InstanceFormatError(
@@ -1116,11 +1120,11 @@ def algebra_from_instance_dict(data, tol: float = DEFAULT_TOL) -> KreinAlgebra:
             )
         e = data.get("odd_generator")
         e_coords = None if e is None else _coords_from_json(e, "odd_generator")
-        if e_coords is not None and e_coords.shape != (len(mats),):
+        if e_coords is not None and e_coords.shape != (len(basis),):
             raise InstanceFormatError(
-                f"needs {len(mats)} coordinates, got {e_coords.shape[0]}", "odd_generator"
+                f"needs {len(basis)} coordinates, got {e_coords.shape[0]}", "odd_generator"
             )
-        return KreinAlgebra(np.array(mats), U, odd_generator=e_coords, tol=tol)
+        return KreinAlgebra(basis, U, odd_generator=e_coords, tol=tol)
     raise InstanceFormatError(
         "kind must be 'function_algebra' or 'matrix_algebra'", "kind"
     )

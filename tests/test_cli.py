@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from kreinalg import (
     random_unitary,
     spectrum_classes,
 )
-from kreinalg import cli
+from kreinalg import cli, finite_krein
 from kreinalg.cli import main
 from kreinalg.finite_krein import _pairs_to_json
 from kreinalg.spectrum import ClusteringAmbiguityError, NotCommutativeError
@@ -76,7 +77,7 @@ def load_outcome(path, monkeypatch, capsys, reader=None):
     type, message and field with verify's exit code and stderr."""
     with monkeypatch.context() as m:
         if reader is not None:
-            m.setattr(cli, "_read_json", reader)
+            m.setattr(cli, "_read_instance", reader)
         try:
             alg = cli._load_algebra(cli.RunConfig("verify", input_path=path))
         except Exception as exc:
@@ -104,6 +105,94 @@ def matrix_instance_text(basis_one="1.0"):
         if pair[0] == 1.0:
             pair[0] = "@"
     return json.dumps(blob, indent=2).replace('"@"', basis_one)
+
+
+def basis_spans(text):
+    """(begin, end) of each basis matrix in a canonical instance's bytes."""
+    spans, end = [], cli._CANONICAL_HEAD.match(text).end() - 1
+    while text[end : end + 1] != b"]":
+        begin, end = end + 1, text.index(b"]]]", end + 1) + 3
+        spans.append((begin, end))
+    return spans
+
+
+def canonical_mutants(text, seed):
+    """Seeded byte-level mutations of a canonical instance, by family: bytes
+    deleted, doubled or replaced in and at both ends of each basis matrix,
+    ambient_dim values, duplicate and escaped keys, whitespace inside a
+    matrix, leaves that are not numbers or are edge-case numbers, and a
+    fifth nesting level."""
+    rng = np.random.default_rng(seed)
+    spans = basis_spans(text)
+    replacements = b'[],." -+eE09x\\\n'
+    edits = []
+    for begin, end in spans:
+        inside = rng.integers(begin + 1, end - 1, size=2).tolist()
+        for at in (begin - 1, begin, *inside, end - 1, end):
+            edits += [(at, at + 1, b""), (at, at + 1, text[at : at + 1] * 2)]
+            edits += [(at, at + 1, bytes([b])) for b in rng.choice(list(replacements), 2)]
+    byte = [text[:a] + new + text[b:] for a, b, new in edits]
+
+    dim = cli._CANONICAL_HEAD.match(text)[1]
+    ambient_dim = [
+        text.replace(b'"ambient_dim":' + dim, b'"ambient_dim":' + value, 1)
+        for value in (b"0", b"0" + dim, b"18446744073709551616", b"1000000000", b"1" * 400)
+        + (dim + b".0", b"-" + dim)
+    ]
+
+    basis = text[spans[0][0] - 1 : spans[-1][1] + 1]
+    tail = len(text.rstrip()) - 1  # the closing brace
+    keys = [
+        text[:tail] + extra + text[tail:]
+        for extra in (
+            b',"basis":[]',
+            b',"basis":' + basis,
+            b',"\\u0062asis":[]',
+            b',"ambient_dim":' + dim,
+            b',"ambient_dim":' + dim + b".0",
+            b',"ambient_dim":7',
+            b',"ambient_dim":true',
+            b',"points":2.0',
+        )
+    ] + [
+        text.replace(b'"basis"', b'"\\u0062asis"', 1),
+        text.replace(b'"matrix_algebra"', b'"function_algebra","points":2', 1),
+        text.replace(b'"matrix_algebra"', b'"function_algebra","points":18446744073709551616', 1),
+        text.replace(b'"matrix_algebra"', b'"matrix\\u005falgebra"', 1),
+    ]
+
+    whitespace = []
+    for begin, end in spans:
+        commas = [begin + m.end() for m in re.finditer(rb",", text[begin:end])]
+        places = [*rng.integers(begin, end, size=2), *rng.choice(commas, 2)]  # anywhere; between tokens
+        for at, blank in zip(places, rng.choice([b" ", b"\n", b"\t", b"\r"], 4)):
+            whitespace.append(text[:at] + blank + text[at:])
+
+    leaves = []
+    for begin, end in spans:
+        tokens = list(re.finditer(rb"-?[0-9][0-9.eE+-]*", text[begin:end]))
+        for value in (b"true", b"null", b'"1.0"', b"NaN", b"-0", b"-0.0", b"1e400", b"1E2", b"9" * 20):
+            token = tokens[rng.integers(len(tokens))]
+            a, b = begin + token.start(), begin + token.end()
+            leaves.append(text[:a] + value + text[b:])
+
+    nesting = [text[:tail] + b',"x":' + b"[" * 5000 + b"]" * 5000 + text[tail:]]
+    for begin, end in spans:
+        token = re.search(rb"-?[0-9][0-9.eE+-]*", text[begin:end])
+        a, b = begin + token.start(), begin + token.end()
+        nesting += [
+            text[:a] + b"[" + text[a:b] + b"]" + text[b:],  # a leaf
+            text[: a - 1] + b"[" + text[a - 1 : end - 2] + b"]" + text[end - 2 :],  # a row's pairs
+            text[:begin] + b"[" + text[begin:end] + b"]" + text[end:],  # a matrix
+        ]
+    return {
+        "byte": byte,
+        "ambient_dim": ambient_dim,
+        "keys": keys,
+        "whitespace": whitespace,
+        "leaves": leaves,
+        "nesting": nesting,
+    }
 
 
 class TestVerify:
@@ -259,6 +348,35 @@ class TestVerify:
         assert "algebra" in expected
         assert load_outcome(inst, monkeypatch, capsys) == expected
 
+    @pytest.mark.parametrize("points", [2, 3])
+    @pytest.mark.parametrize("family", ["byte", "ambient_dim", "keys", "whitespace", "leaves", "nesting"])
+    def test_span_decoder_agrees_with_the_tree_reader(self, tmp_path, monkeypatch, capsys, points, family):
+        """Mutants of a canonical instance give verify the same exit code,
+        output and report bytes as with the span decoder declining."""
+        inst, report = tmp_path / "mutant.json", tmp_path / "report.json"
+        main(["gen", "--points", str(points), "--conjugate", "--seed", "3", "--out", str(inst)])
+        decode = cli._canonical_instance
+        decoded = []
+        monkeypatch.setattr(cli, "_canonical_instance", lambda raw: decoded.append(decode(raw)) or decoded[-1])
+        capsys.readouterr()
+
+        def outcome():
+            report.unlink(missing_ok=True)
+            with np.errstate(all="ignore"):
+                code = main(["verify", "--input", str(inst), "--report", str(report)])
+            out = capsys.readouterr()
+            return code, out.out, out.err, report.read_bytes() if report.exists() else None
+
+        mutants = canonical_mutants(inst.read_bytes(), seed=points)[family]
+        for text in mutants:
+            inst.write_bytes(text)
+            got = outcome()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_canonical_instance", lambda raw: None)
+                assert outcome() == got, text
+        # the decoder accepts some mutants of these families
+        assert any(d is not None for d in decoded) == (family not in ("ambient_dim", "nesting"))
+
     @given(
         st.lists(
             st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**300), 10**300)),
@@ -271,16 +389,34 @@ class TestVerify:
         reference = np.fromiter(json.loads(text), dtype=float, count=len(leaves))
         assert ours.tobytes() == reference.tobytes()
 
-    def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch):
-        inst = tmp_path / "rot.json"
-        main(["gen", "--points", "2", "--conjugate", "--out", str(inst)])
+    @pytest.mark.parametrize("points", [1, 2, 8])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch, points, conjugate):
+        """gen's output is read once, by orjson, and its basis is decoded from
+        the bytes, with no basis matrix parsed as a list tree; its indented twin
+        takes the tree path to the same report."""
+        inst, twin = tmp_path / "gen.json", tmp_path / "indented.json"
+        main(["gen", "--points", str(points), "--out", str(inst)] + ["--conjugate"] * conjugate)
+        twin.write_text(json.dumps(json.loads(inst.read_text()), indent=2))
+        decode = finite_krein._matrix_from_json
+        fields = []
+        monkeypatch.setattr(
+            finite_krein, "_matrix_from_json", lambda rows, field: fields.append(field) or decode(rows, field)
+        )
 
         def refuse(*args, **kwargs):
             raise AssertionError("valid input took the json path")
 
         monkeypatch.setattr(json, "loads", refuse)
         monkeypatch.setattr(Path, "read_text", refuse)
-        assert main(["verify", "--input", str(inst)]) == 0
+        reports, basis_fields = [], []
+        for path in (inst, twin):
+            reports.append(tmp_path / f"{path.stem}-report.json")
+            assert main(["verify", "--input", str(path), "--report", str(reports[-1])]) == 0
+            basis_fields.append([f for f in fields if f.startswith("basis")])
+            fields.clear()
+        assert basis_fields == [[], [f"basis[{i}]" for i in range(2 * points)] if conjugate else []]
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["list", "object"])
