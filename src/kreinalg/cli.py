@@ -218,7 +218,9 @@ def _parse_json(raw: bytes, path: Path):
     every value, is json's: text nested deeper than _ORJSON_MAX_DEPTH, and an
     `ambient_dim` or `points` that orjson returns as a float (as it does an
     integer beyond 64 bits).  The re-read goes through read_text, whose
-    universal newlines set the line numbers in json's messages."""
+    universal newlines set the line numbers in json's messages.  An integer
+    longer than int's digit limit, which json refuses to convert, is an
+    InstanceFormatError like any other."""
     if _nests_within(raw, _ORJSON_MAX_DEPTH):
         try:
             data = orjson.loads(raw)
@@ -243,6 +245,10 @@ def _parse_json(raw: bytes, path: Path):
         ) from exc
     except RecursionError as exc:
         raise InstanceFormatError("invalid JSON: nested too deep to parse") from exc
+    except ValueError as exc:  # json's only other error: int's digit limit
+        raise InstanceFormatError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 # A canonical instance is the text _pieces writes, compact with sorted keys,

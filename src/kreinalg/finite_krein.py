@@ -9,13 +9,19 @@ even and odd parts (x +- alpha(x))/2.
 
 Elements are stored as coordinate vectors against the basis; matrices are
 materialized on demand.  Construction is the one ambient-to-coordinate step.
-It picks d entries (p_t, q_t) of the basis matrices greedily on an
-orthonormal frame of the span (an interpolative decomposition); the
-coordinates of any span member are its pivot entries times the inverse of
-the d x d block of the basis at those entries.  So the structure
-tensor (coordinates of every basis product) needs only the pivot entries
-(B_i B_j)[p_t, q_t] = B_i[p_t, :] B_j[:, q_t], in O(d^3 n) time, and no
-product is formed whole; ``dagger_coord`` and ``alpha_coord`` come from
+Independence is the margin sigma_min / sigma_max of the vectorized basis,
+from ``eigvalsh`` of its d x d Gram matrix; the Gram matrix keeps only half
+the digits, so a margin that reads below 1e-6 or 2 tol is taken again from
+a QR of the basis (``_independence``).  Construction picks d entries
+(p_t, q_t) of the basis matrices by partial pivoting on the vectorized basis
+(an interpolative decomposition; in exact arithmetic the rows DEIM picks on
+an orthonormal frame of the span, which is never formed); the coordinates
+of any span member are its pivot entries times the inverse of the d x d
+block of the basis at those entries.  So the structure tensor (coordinates
+of every basis product) needs only the pivot entries
+(B_i B_j)[p_t, q_t] = B_i[p_t, :] B_j[:, q_t], in O(d^3 n) time, no product
+is formed whole, and one inverse of the block maps all d^2 of them to
+coordinates in one GEMM; ``dagger_coord`` and ``alpha_coord`` come from
 the pivot entries of B_j^H and U B_j U alike.  The pivot solve fits each
 image exactly on the pivots, so closure is certified off them: one seeded
 random combination of the basis fills the left slot of the products, or
@@ -199,21 +205,41 @@ def _finite(name: str, values) -> np.ndarray:
     return arr
 
 
-def _interpolation_entries(frame: np.ndarray) -> np.ndarray:
-    """One row index per column of ``frame`` (m x d, orthonormal columns): the
-    largest entry of that column's residual after interpolating it at the rows
-    chosen so far (DEIM, Chaturantabut & Sorensen, SIAM J. Sci. Comput. 32(5),
-    2010; the rows partial pivoting would pick in an LU of ``frame``).  The
-    d x d block of the frame at these rows is well conditioned in practice.
-    With flat^T = frame R, the basis block at the same entries is
-    R^T frame[piv]^T, so cond(K) <= cond(flat) cond(frame[piv]) in any
-    coordinate frame.  O(m d^2)."""
-    d = frame.shape[1]
+def _interpolation_entries(cols: np.ndarray) -> np.ndarray:
+    """One row index per column of ``cols`` (m x d, independent columns; here
+    flat^T): the largest entry of that column's residual after interpolating
+    it at the rows chosen so far, the rows partial pivoting picks in an LU of
+    ``cols``.  With cols = F R for F an orthonormal frame of its range and R
+    upper triangular, column j's residual is R_jj times that of F's column j,
+    so in exact arithmetic these are the rows DEIM picks on F (Chaturantabut
+    & Sorensen, SIAM J. Sci. Comput. 32(5), 2010), and the block
+    cols[piv] = F[piv] R gives cond(K) <= cond(flat) cond(F[piv]) for
+    K = flat[:, piv], in any coordinate frame, with F[piv] DEIM's block, well
+    conditioned in practice.  F is never formed.  O(m d^2)."""
+    d = cols.shape[1]
     piv = np.empty(d, dtype=np.intp)
     for j in range(d):
-        c = np.linalg.solve(frame[piv[:j], :j], frame[piv[:j], j])
-        piv[j] = np.argmax(np.abs(frame[:, j] - frame[:, :j] @ c))
+        c = np.linalg.solve(cols[piv[:j], :j], cols[piv[:j], j])
+        piv[j] = np.argmax(np.abs(cols[:, j] - cols[:, :j] @ c))
     return piv
+
+
+def _independence(flat: np.ndarray, tol: float) -> float:
+    """sigma_min / sigma_max of the vectorized basis ``flat`` (d x n^2), from
+    ``eigvalsh`` of its d x d Gram matrix flat flat^H: one O(d^2 n^2) GEMM.
+    Squaring the singular values loses half the digits, so a Gram margin that
+    reads below 1e-6 or below 2 tol is taken again from the singular values of
+    R in flat^T = QR, which keep them; more matrices than entries (d > n^2)
+    cannot be independent and read 0."""
+    d, m = flat.shape
+    if d > m:
+        return 0.0
+    ev = np.linalg.eigvalsh(flat @ flat.conj().T)  # ascending sigma^2
+    margin = _relative(math.sqrt(max(ev[0], 0.0)), math.sqrt(ev[-1]))
+    if margin < max(1e-6, 2.0 * tol):
+        sv = np.linalg.svd(np.linalg.qr(flat.T, mode="r"), compute_uv=False)
+        margin = _relative(sv[-1], sv[0])
+    return margin
 
 
 def _certificates(algebra: "KreinAlgebra") -> tuple[float, float, float]:
@@ -352,9 +378,11 @@ class KreinAlgebra:
         positive and finite.
 
     Construction costs O(d^3 n + d n^2 s) time for s = _PROBES, plus
-    O(d^2 n^2) for one QR factorisation of the vectorized basis, the choice
-    of the pivot entries and the alpha images at them, plus the unit: an
-    O(d^3) sketch solve and its O(d^3) backward error (``_resolve_unit``).
+    O(d^2 n^2) for the Gram matrix of the vectorized basis (and a QR of it
+    when the Gram margin is too small to trust, ``_independence``), the
+    choice of the pivot entries and the alpha images at them, plus the
+    unit: an O(d^3) sketch solve and its O(d^3) backward error
+    (``_resolve_unit``).
     The closure certificates (``_certificates``) are taken once, here:
     ``validation_residuals`` keeps them as ``product_closure``,
     ``adjoint_closure`` and ``alpha_closure``, and ``_slot`` keeps their x.
@@ -391,21 +419,14 @@ class KreinAlgebra:
 
         d = self.dim
         flat = _vec(B)  # (d, n^2), rows are vectorized basis matrices
-        # flat^T = frame r with orthonormal columns: r has the singular values of flat
-        frame, r = np.linalg.qr(flat.T)
-        sv = np.linalg.svd(r, compute_uv=False)
-        # more matrices than entries cannot be independent, whatever the d-th
-        # singular value (there are only min(d, n^2) of them) would say
-        indep = _relative(sv[-1], sv[0]) if d <= n * n else 0.0
-        self.validation_residuals["basis_independence"] = indep
+        self.validation_residuals["basis_independence"] = indep = _independence(flat, tol)
         if not indep > tol:
             raise AlgebraValidationError("basis is not linearly independent")
-        # interpolative decomposition: d entries (p_t, q_t), chosen on the span's
-        # orthonormal frame, fix the coordinates of any span member through the
-        # d x d block K = flat[:, piv] of the basis at those entries
-        self._pivots = piv = _interpolation_entries(frame)
+        # interpolative decomposition: d entries (p_t, q_t), the rows partial
+        # pivoting of flat^T picks, fix the coordinates of any span member
+        # through the d x d block K = flat[:, piv] of the basis at those entries
+        self._pivots = piv = _interpolation_entries(flat.T)
         self._block = flat[:, piv].T  # coordinates c of M solve K^T c = M[p, q]
-        del frame  # as large as the basis; free it before the structure tensor
 
         # U^H U and U^2 against I, each sized ||U||^2 + ||I||: ||U^H U|| = ||U||^2 >= ||U^2||
         size = np.linalg.norm(U, 2) ** 2 + 1.0
@@ -478,13 +499,22 @@ class KreinAlgebra:
     def _pivot_structure(self) -> np.ndarray:
         """Structure tensor from the pivot entries of every basis product,
         (B_i B_j)[p_t, q_t] = B_i[p_t, :] B_j[:, q_t], taken as one batched
-        product over t: O(d^3 n), and no product is formed whole.  A method of
-        its own so that its d^3 temporaries are freed before the next stage."""
+        product over t: O(d^3 n), and no product is formed whole.  The d^2
+        right-hand sides share the block K^T, so one inverse of it and one
+        GEMM give their coordinates, written straight in (i, j, k) order
+        (BLAS runs a solve with d^2 right-hand sides as triangular solves:
+        2.0 against 0.4 ms at d = 32 and 7.7 against 0.8 ms at d = 48, the
+        inverse included, medians on a 2-core Xeon).  Multiplying by the
+        inverse keeps the solve's forward error, of order cond(K) eps, though
+        not its backward error (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., sec. 14.1); the closure certificates test the
+        tensor against the basis itself.  A method of its own so that its
+        d^3 temporaries are freed before the next stage."""
         B, d = self.basis, self.dim
         p, q = np.divmod(self._pivots, self.ambient_dim)
         entries = B[:, p, :].transpose(1, 0, 2) @ B[:, :, q].transpose(2, 1, 0)  # (t, i, j)
-        coords = np.linalg.solve(self._block, entries.reshape(d, d * d))  # (k, (i, j))
-        return np.ascontiguousarray(coords.T).reshape(d, d, d)
+        # ((i, j), k) = entries^T inv(K^T)^T
+        return (entries.reshape(d, d * d).T @ np.linalg.inv(self._block).T).reshape(d, d, d)
 
     def _sketched_unit(self) -> np.ndarray:
         """Least-squares solution of the 2d x d sketch u w_1 = w_1, w_2 u = w_2

@@ -427,6 +427,22 @@ class TestVerify:
         assert main([command, "--input", str(inst)]) == 2
         assert "error: invalid JSON: nested too deep to parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("field", ["points", "ambient_dim"])
+    def test_integer_beyond_the_digit_limit_is_a_schema_error(self, tmp_path, capsys, command, field):
+        """orjson rejects such an integer and json cannot convert it to int."""
+        inst, limit = tmp_path / "long.json", sys.get_int_max_str_digits()
+        digits = "1" * (limit + 700)
+        if field == "points":
+            inst.write_text('{"kind": "function_algebra", "points": ' + digits + "}")
+        else:
+            assert main(["gen", "--points", "2", "--conjugate", "--out", str(inst)]) == 0
+            text = inst.read_text()
+            assert text.startswith('{"ambient_dim":4,')
+            inst.write_text(text.replace('"ambient_dim":4', '"ambient_dim":' + digits, 1))
+        assert main([command, "--input", str(inst)]) == 2
+        assert f"error: invalid JSON: an integer has more than {limit} digits" in capsys.readouterr().err
+
     def test_nesting_hidden_by_brackets_in_strings_is_a_schema_error(self, tmp_path):
         """Nesting deep enough to overflow the C stack in orjson, behind a
         string of closing brackets that a count blind to strings would

@@ -51,9 +51,13 @@ from kreinalg.finite_krein import (
     _IMPLIED,
     _VERIFY_ROWS,
     _certificates,
+    _conjugated,
     _fullness_margin,
+    _function_algebra_arrays,
     _implied_rows,
+    _interpolation_entries,
     _matrix_from_json,
+    _vec,
 )
 
 
@@ -335,6 +339,56 @@ class TestConstruction:
     def test_trivial_grading_has_no_odd_part(self, m2_algebra):
         assert m2_algebra.even_basis.shape[1] == 4
         assert m2_algebra.odd_basis.shape[1] == 0
+
+
+def rotated_arrays(points, seed):
+    """The basis and symmetry of the rotated function algebra, unconstructed."""
+    basis, sym, _, _ = _function_algebra_arrays(points)
+    return _conjugated(basis, sym, random_unitary(2 * points, np.random.default_rng(seed)), DEFAULT_TOL)
+
+
+def qr_margin(basis):
+    """sigma_min / sigma_max of the vectorized basis, from the R of a
+    Householder QR: the reference the Gram margin is held to."""
+    sv = np.linalg.svd(np.linalg.qr(_vec(basis).T, mode="r"), compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+class TestFrameFreeConstruction:
+    """The margin from the Gram matrix, with the QR as a guard below 1e-6,
+    and the pivots taken on the vectorized basis itself."""
+
+    def test_near_dependent_basis_is_rejected(self):
+        # sigma_min / sigma_max is 5e-13, but the Gram matrix reads 1.3e-8,
+        # above tol: only the QR guard sees the dependence
+        basis, sym = rotated_arrays(8, 3)
+        basis[1] = basis[0] + 1e-12 * basis[1]
+        assert qr_margin(basis) < 1e-12
+        with pytest.raises(AlgebraValidationError, match="basis is not linearly independent"):
+            KreinAlgebra(basis, sym, tol=1e-9)
+
+    @pytest.mark.parametrize("cond_exp", [0, 4, 6, 7], ids=["cond1", "cond1e4", "cond1e6", "cond1e7"])
+    @pytest.mark.parametrize("points", [2, 4, 8, 16])
+    def test_margin_matches_the_qr_margin(self, points, cond_exp, mixed_function_algebra):
+        alg, _ = mixed_function_algebra(points, cond_exp)
+        margin, want = alg.validation_residuals["basis_independence"], qr_margin(alg.basis)
+        flat = _vec(alg.basis)
+        ev = np.linalg.eigvalsh(flat @ flat.conj().T)
+        if cond_exp == 7:  # far below the cut: the guard runs
+            assert np.sqrt(ev[0] / ev[-1]) < 1e-6
+        if cond_exp >= 6 and np.sqrt(ev[0] / ev[-1]) < 1e-6:
+            assert margin == pytest.approx(want, rel=1e-12)
+        else:  # cond 1 and 1e4, or a Gram margin just above the cut (points 2: 1.000007e-6)
+            assert margin == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_pivots_on_the_basis_are_as_good_as_on_a_frame(self, seed):
+        # ties make the pivot sets differ (in 19 of the 64 cases of both seeds), not cond(K)
+        for points in range(1, 33):
+            flat = _vec(rotated_arrays(points, seed)[0])
+            on_basis = np.linalg.cond(flat[:, _interpolation_entries(flat.T)])
+            on_frame = np.linalg.cond(flat[:, _interpolation_entries(np.linalg.qr(flat.T)[0])])
+            assert on_basis == pytest.approx(on_frame, rel=1e-2), points
 
 
 def rotated_function_algebra(points):
