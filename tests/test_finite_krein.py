@@ -55,6 +55,7 @@ from kreinalg.finite_krein import (
     _fullness_margin,
     _function_algebra_arrays,
     _implied_rows,
+    _independence,
     _interpolation_entries,
     _matrix_from_json,
     _vec,
@@ -355,13 +356,15 @@ def qr_margin(basis):
 
 
 class TestFrameFreeConstruction:
-    """The margin from the Gram matrix, with the QR as a guard below 1e-6,
-    and the pivots taken on the vectorized basis itself."""
+    """The margin from the Gram matrix, with the QR as a guard wherever the
+    Gram matrix's rounding could move it by 1%, and the pivots taken on the
+    vectorized basis itself."""
 
-    def test_near_dependent_basis_is_rejected(self):
-        # sigma_min / sigma_max is 5e-13, but the Gram matrix reads 1.3e-8,
-        # above tol: only the QR guard sees the dependence
-        basis, sym = rotated_arrays(8, 3)
+    @pytest.mark.parametrize("points", [8, 32, 64])
+    def test_near_dependent_basis_is_rejected(self, points):
+        # sigma_min / sigma_max is 5e-13, but the Gram matrix reads 1.3e-8 at
+        # N = 8 (0 at N = 64: sigma_min^2 rounds below 0): only the QR sees it
+        basis, sym = rotated_arrays(points, 3)
         basis[1] = basis[0] + 1e-12 * basis[1]
         assert qr_margin(basis) < 1e-12
         with pytest.raises(AlgebraValidationError, match="basis is not linearly independent"):
@@ -372,14 +375,18 @@ class TestFrameFreeConstruction:
     def test_margin_matches_the_qr_margin(self, points, cond_exp, mixed_function_algebra):
         alg, _ = mixed_function_algebra(points, cond_exp)
         margin, want = alg.validation_residuals["basis_independence"], qr_margin(alg.basis)
-        flat = _vec(alg.basis)
-        ev = np.linalg.eigvalsh(flat @ flat.conj().T)
-        if cond_exp == 7:  # far below the cut: the guard runs
-            assert np.sqrt(ev[0] / ev[-1]) < 1e-6
-        if cond_exp >= 6 and np.sqrt(ev[0] / ev[-1]) < 1e-6:
+        if cond_exp >= 6:  # sigma_min^2 within 100x the Gram matrix's error bound: the guard runs
             assert margin == pytest.approx(want, rel=1e-12)
-        else:  # cond 1 and 1e4, or a Gram margin just above the cut (points 2: 1.000007e-6)
+        else:
             assert margin == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e200])
+    def test_margin_survives_a_gram_matrix_out_of_range(self, scale, mixed_function_algebra):
+        # the Gram matrix of the scaled basis loses digits to subnormals (it
+        # would read 9.56e-4) or overflows; the QR reads the unscaled margin
+        flat = _vec(mixed_function_algebra(4, 3)[0].basis)
+        assert _independence(flat, DEFAULT_TOL) == pytest.approx(1e-3, rel=1e-6)
+        assert _independence(flat * scale, DEFAULT_TOL) == pytest.approx(_independence(flat, DEFAULT_TOL), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_pivots_on_the_basis_are_as_good_as_on_a_frame(self, seed):
