@@ -207,11 +207,6 @@ def _read_bytes(path: Path) -> bytes:
         raise InstanceFormatError(f"cannot read input: {exc}") from exc
 
 
-def _read_json(path: Path):
-    """The parsed instance file, every matrix as nested lists."""
-    return _parse_json(_read_bytes(path), path)
-
-
 def _parse_json(raw: bytes, path: Path):
     """The JSON text raw, read from path.  orjson parses it; json re-reads
     what orjson rejects or would read differently, so that every error, and
@@ -461,7 +456,7 @@ def run_gen(cfg: RunConfig) -> int:
     verify and spectrum validate the instance when they load it."""
     if cfg.conjugate:
         try:
-            basis, sym, _, odd_gen = _function_algebra_arrays(cfg.points)
+            basis, sym, odd_gen = _function_algebra_arrays(cfg.points)
             Q = random_unitary(len(sym), np.random.default_rng(cfg.seed))
             basis, sym = _conjugated(basis, sym, Q, cfg.tol)
         except (InstanceFormatError, AlgebraValidationError) as exc:

@@ -30,14 +30,14 @@ stands in for the basis under the adjoint and alpha, and Gaussian probe
 columns V test the defects in O(d n^2 s) time for s = _PROBES (Freivalds,
 1977); construction keeps that combination as the random slot of the later
 Freivalds tests.  ``coords_of_matrix`` keeps a full span-membership residual.
-The unit solves a 2d x d random sketch of its (2d^2, d) system, u w_1 = w_1
-and w_2 u = w_2 for seeded Gaussian w_1, w_2 (Halko, Martinsson & Tropp, SIAM
-Rev. 53(2), 2011), in O(d^3); its backward error stays on the full system,
-in the Frobenius norm, and a sketched unit that fails it is solved again on
-the full system.  After construction, an element's multiplication matrix is
-one GEMM against the structure tensor (``KreinAlgebra._left_matrices``);
-fullness reads that of g = sum_j y_j^dag y_j.  Every residual is relative
-to the sizes of the terms it compares (``_relative``), with no floor.
+The unit is a span member like any other: where I_n lies in the span it is
+the unit, and the pivot solve of I_n gives its coordinates; otherwise (a
+corner subalgebra) lstsq on u B_i = B_i gives them.  Its backward error is
+taken on the full system u B_i = B_i u = B_i, in the Frobenius norm.  After
+construction, an element's multiplication matrix is one GEMM against the
+structure tensor (``KreinAlgebra._left_matrices``); fullness reads that of
+g = sum_j y_j^dag y_j.  Every residual is relative to the sizes of the terms
+it compares (``_relative``), with no floor.
 
 The axiom checks are theorems of matrix arithmetic.  The norm axioms hold
 for every matrix: ||x^dag x|| = ||x||^2, <x|x> >= 0, ||x x^dag|| =
@@ -379,7 +379,8 @@ class KreinAlgebra:
     symmetry_unitary : array_like, shape (n, n)
         Unitary involution (U^2 = 1) whose conjugation preserves the span.
     unit_coords : array_like, optional
-        Coordinates of the multiplicative unit; solved for when omitted.
+        Coordinates of the multiplicative unit; solved for when omitted
+        (``_resolve_unit``).
     odd_generator : array_like, optional
         Coordinates of a candidate odd generator e.  Its algebraic
         properties (e odd, e^2 = unit, e* = -e) are *not* enforced here;
@@ -393,8 +394,8 @@ class KreinAlgebra:
     O(d^2 n^2) for the Gram matrix of the vectorized basis (and a QR of it
     when the Gram margin is too small to trust, ``_independence``), the
     choice of the pivot entries and the alpha images at them, plus the
-    unit: an O(d^3) sketch solve and its O(d^3) backward error
-    (``_resolve_unit``).
+    unit: the pivot solve of I_n, O(d^3 + d n^2), and its O(d^3) backward
+    error (``_resolve_unit``).
     The closure certificates (``_certificates``) are taken once, here:
     ``validation_residuals`` keeps them as ``product_closure``,
     ``adjoint_closure`` and ``alpha_closure``, and ``_slot`` keeps their x.
@@ -528,40 +529,33 @@ class KreinAlgebra:
         # ((i, j), k) = entries^T inv(K^T)^T
         return (entries.reshape(d, d * d).T @ np.linalg.inv(self._block).T).reshape(d, d, d)
 
-    def _sketched_unit(self) -> np.ndarray:
-        """Least-squares solution of the 2d x d sketch u w_1 = w_1, w_2 u = w_2
-        of the unit's system, for complex Gaussian w_1, w_2 seeded from the
-        basis (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011).  A generic
-        element of a unital algebra is invertible, so the unit is the sketch's
-        only solution.  O(d^3)."""
-        S, d = self.structure, self.dim
-        w = _random_coords(np.random.default_rng([self._seed, 1]), 2, d)
-        # (c w_1)_k = sum_j c_j (w_1 @ S)[j, k], (w_2 c)_k = sum_j c_j (w_2 @ S_flat)[j, k]
-        sketch = np.concatenate([(w[0] @ S).T, (w[1] @ S.reshape(d, d * d)).reshape(d, d).T])
-        return np.linalg.lstsq(sketch, w.reshape(-1), rcond=None)[0]
-
     def _resolve_unit(self, unit_coords) -> tuple[np.ndarray, float]:
         """The unit's coordinates, given or solved for, and their normwise
         backward error on the full (2d^2, d) system u B_i = B_i u = B_i.
 
-        The solve is ``_sketched_unit``; a sketched unit that fails tol is
-        replaced by lstsq on the full system, O(d^4), so the sketch never
-        rejects an instance the full solve accepts.  The error's ||A|| is the
-        Frobenius norm, sqrt(2) ||structure||_F, in O(d^3): Higham's bound
-        holds for any consistent norm, and ||A||_F >= ||A||_2."""
+        If I_n lies in the span it is the unit, in any frame, so the solve is
+        the pivot solve of I_n (``coords_of_matrix``), in O(d^3 + d n^2).
+        Where I_n is not in the span (a corner subalgebra), or its coordinates
+        miss tol, the unit is lstsq on the left half u B_i = B_i, a (d^2, d)
+        system, in O(d^4): a left unit e of a dagger-closed algebra is its
+        unit, since x e^dag = (e x^dag)^dag = x makes e = e e^dag = e^dag.
+        The error's ||A|| is the Frobenius norm, sqrt(2) ||structure||_F, in
+        O(d^3): Higham's bound holds for any consistent norm, and
+        ||A||_F >= ||A||_2."""
         S, d = self.structure, self.dim
         # row j of F: column j of the full system's left half, so c @ F gives the
         # coordinates of every c B_i; c @ S (stacked, no copy) those of every B_i c
         F = S.reshape(d, d * d)
-        rhs = np.tile(np.eye(d).reshape(-1), 2)
+        rhs = np.eye(d).reshape(-1)
         norm_a = math.sqrt(2.0) * float(np.linalg.norm(S))  # A's halves rearrange S
 
         def backward_error(c: np.ndarray) -> float:
             # ||A x - b|| / (||A|| ||x|| + ||b||) (Higham, Accuracy and Stability of
             # Numerical Algorithms, 2nd ed., Thm 7.1): the absolute residual grows
             # like cond^2 of a change of basis, this does not
-            gap = np.concatenate([c @ F, (c @ S).reshape(-1)]) - rhs
-            return _relative(np.linalg.norm(gap), norm_a * np.linalg.norm(c) + np.linalg.norm(rhs))
+            gap = np.concatenate([c @ F - rhs, (c @ S).reshape(-1) - rhs])
+            # ||b|| = sqrt(2d): b stacks vec(I_d) twice
+            return _relative(np.linalg.norm(gap), norm_a * np.linalg.norm(c) + math.sqrt(2.0 * d))
 
         if unit_coords is not None:
             sol = _finite("unit_coords", unit_coords).reshape(-1)
@@ -570,13 +564,13 @@ class KreinAlgebra:
                     f"unit_coords needs {d} coordinates, got {sol.shape}"
                 )
             return sol, backward_error(sol)
-        sol = self._sketched_unit()
-        resid = backward_error(sol)
-        if not resid <= self.tol:
-            full = np.concatenate([F, S.transpose(1, 0, 2).reshape(d, d * d)], axis=1).T
-            sol = np.linalg.lstsq(full, rhs, rcond=None)[0]
+        with suppress(SpanError):
+            sol = self.coords_of_matrix(np.eye(self.ambient_dim))
             resid = backward_error(sol)
-        return sol, resid
+            if resid <= self.tol:
+                return sol, resid
+        sol = np.linalg.lstsq(F.T, rhs, rcond=None)[0]
+        return sol, backward_error(sol)
 
     def materialize(self, coords) -> np.ndarray:
         """Ambient matrix of coordinates (..., d); a stack gives a stack."""
@@ -665,7 +659,7 @@ def _own(algebra: KreinAlgebra, x) -> GradedElement:
 
 def _function_algebra_arrays(points: int) -> tuple[np.ndarray, ...]:
     """C(X) (x) K over ``points`` points in closed form: the basis, the symmetry
-    unitary, the unit's coordinates and the odd generator's coordinates (see
+    unitary and the odd generator's coordinates (see
     ``build_function_algebra``).  InstanceFormatError on ``points`` when numpy
     cannot allocate the dense basis."""
     if points < 1:
@@ -681,9 +675,8 @@ def _function_algebra_arrays(points: int) -> tuple[np.ndarray, ...]:
         basis[2 * p + 1, 2 * p, 2 * p + 1] = 1.0
         basis[2 * p + 1, 2 * p + 1, 2 * p] = 1.0
     sym = np.diag(np.tile([1.0, -1.0], points)).astype(complex)
-    unit = np.tile([1.0, 0.0], points).astype(complex)
     odd_gen = np.tile([0.0, 1.0], points).astype(complex)
-    return basis, sym, unit, odd_gen
+    return basis, sym, odd_gen
 
 
 def build_function_algebra(points: int, tol: float = DEFAULT_TOL) -> KreinAlgebra:
@@ -695,8 +688,8 @@ def build_function_algebra(points: int, tol: float = DEFAULT_TOL) -> KreinAlgebr
     fundamental symmetry acts blockwise as conjugation by diag(1, -1) and the
     odd generator is the constant function with value [[0, 1], [1, 0]].
     """
-    basis, sym, unit, odd_gen = _function_algebra_arrays(points)
-    return KreinAlgebra(basis, sym, unit_coords=unit, odd_generator=odd_gen, tol=tol)
+    basis, sym, odd_gen = _function_algebra_arrays(points)
+    return KreinAlgebra(basis, sym, odd_generator=odd_gen, tol=tol)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -241,7 +241,10 @@ def _axiom_residuals(algebra: KreinAlgebra, A: np.ndarray, B: np.ndarray) -> dic
     and a on the odd part, once alpha^2 = id), and, when the algebra has an
     odd generator e, w(e B_j) = epsilon w(B_j) (``odd_symmetry``).  Each is
     worst over characters and basis elements, relative to the sizes of its
-    terms; w(c) may vanish, so it is sized by its factors ||w|| ||c||.
+    terms; w(c) may vanish, so it is sized by its factors ||w|| ||c||.  w(1)
+    is a sum that cancels in an ill-conditioned frame, so it is sized entry by
+    entry, ||(|A| |u|, |B| |u|)|| for u the unit's coordinates, as alpha(x)
+    is sized by |alpha_coord| |x|.
     """
     norm, x = np.linalg.norm, algebra._slot
     sizes = np.hypot(norm(A, axis=1), norm(B, axis=1))[:, None]  # ||w|| of every character
@@ -252,11 +255,13 @@ def _axiom_residuals(algebra: KreinAlgebra, A: np.ndarray, B: np.ndarray) -> dic
         return _relative(err, sizes * norm(M, axis=0) + rhs_size)
 
     xa, xb = (A @ x)[:, None], (B @ x)[:, None]
-    wu = np.stack([A, B]) @ algebra.unit_coords  # rows: a- and b-values of w(1)
+    u = algebra.unit_coords
+    wu = np.stack([A, B]) @ u  # rows: a- and b-values of w(1)
+    wu_size = norm(np.stack([abs(A), abs(B)]) @ abs(u), axis=0)  # ||(|A| |u|, |B| |u|)||
     xB = algebra._left_matrices(x).T  # column j: coordinates of x B_j
     out = {
         "multiplicative": linear(xB, xa * A + xb * B, xa * B + xb * A, sizes * np.hypot(abs(xa), abs(xb))),
-        "unital": _relative(norm(wu - [[1.0], [0.0]], axis=0), norm(wu, axis=0) + 1.0),
+        "unital": _relative(norm(wu - [[1.0], [0.0]], axis=0), wu_size + 1.0),
         "star": linear(algebra.star_coord, A.conj(), -B.conj()),
         "alpha_equivariance": linear(algebra.alpha_coord, A, -B),
     }

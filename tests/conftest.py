@@ -7,7 +7,7 @@ from kreinalg import (
     conjugate_algebra,
     random_unitary,
 )
-from kreinalg.finite_krein import _matrix_instance, _pairs_to_json
+from kreinalg.finite_krein import DEFAULT_TOL, _matrix_instance, _pairs_to_json
 
 
 @pytest.fixture(scope="session")
@@ -81,12 +81,12 @@ def _mixed_frame(points, cond_exp):
 
 @pytest.fixture(scope="session")
 def mixed_function_algebra():
-    """Builder of the algebra of ``_mixed_frame`` and its change of
-    coordinates."""
+    """Builder of the algebra of ``_mixed_frame``, constructed at ``tol``,
+    and its change of coordinates."""
 
-    def build(points, cond_exp=4):
+    def build(points, cond_exp=4, tol=DEFAULT_TOL):
         basis, sym, generator, to_mixed = _mixed_frame(points, cond_exp)
-        return KreinAlgebra(basis, sym, odd_generator=generator), to_mixed
+        return KreinAlgebra(basis, sym, odd_generator=generator, tol=tol), to_mixed
 
     return build
 

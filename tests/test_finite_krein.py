@@ -257,14 +257,34 @@ class TestConstruction:
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             make(*args, tol=tol)
 
-    def test_unit_distinct_from_ambient_identity(self):
-        # A corner subalgebra is unital even though its unit is a proper
-        # projection of the ambient space.
+    @staticmethod
+    def corner_algebra():
+        """The corner subalgebra C e_00 of M_2: its unit is a proper projection."""
         basis = np.zeros((1, 2, 2), dtype=complex)
         basis[0, 0, 0] = 1.0
-        alg = KreinAlgebra(basis, np.eye(2))
-        assert np.allclose(alg.unit_coords, [1.0])
-        assert np.allclose(alg.unit.matrix(), basis[0])
+        return KreinAlgebra(basis, np.eye(2))
+
+    @staticmethod
+    def padded_algebra(points=3):
+        """The rotated function algebra with its ambient space padded by a zero
+        block of size 2: d = 2 points > 1, and the unit is a proper projection."""
+        basis, sym = rotated_arrays(points, 3)
+        n = len(sym)
+        padded = np.eye(n + 2, dtype=complex)
+        padded[:n, :n] = sym
+        return KreinAlgebra(np.pad(basis, ((0, 0), (0, 2), (0, 2))), padded)
+
+    @pytest.mark.parametrize("name", ["corner", "padded"])
+    def test_unit_distinct_from_ambient_identity(self, name):
+        # I_n is not in the span, yet the algebra is unital: its unit is a
+        # proper projection of the ambient space
+        alg = getattr(self, f"{name}_algebra")()
+        n, zeros = alg.ambient_dim, 1 if name == "corner" else 2
+        with pytest.raises(SpanError):
+            alg.coords_of_matrix(np.eye(n))
+        want = np.diag([1.0] * (n - zeros) + [0.0] * zeros)
+        assert np.allclose(alg.unit.matrix(), want, rtol=0, atol=1e-13)
+        assert alg.validation_residuals["unit"] <= 1e-14
 
     @staticmethod
     def full_unit_lstsq(alg):
@@ -275,12 +295,10 @@ class TestConstruction:
         )
         return np.linalg.lstsq(system, np.tile(np.eye(d).reshape(-1), 2), rcond=None)[0]
 
-    @pytest.mark.parametrize("name", ["fn3", "conj3", "corner"])
-    def test_sketched_unit_equals_full_lstsq(self, name, request):
-        if name == "corner":
-            basis = np.zeros((1, 2, 2), dtype=complex)
-            basis[0, 0, 0] = 1.0
-            alg = KreinAlgebra(basis, np.eye(2))
+    @pytest.mark.parametrize("name", ["fn3", "conj3", "corner", "padded"])
+    def test_solved_unit_equals_full_lstsq(self, name, request):
+        if name in ("corner", "padded"):
+            alg = getattr(self, f"{name}_algebra")()
         else:
             given = request.getfixturevalue(name)
             alg = KreinAlgebra(given.basis, given.symmetry_unitary)  # unit solved for
@@ -288,31 +306,34 @@ class TestConstruction:
         assert np.linalg.norm(alg.unit_coords - full) <= 1e-13 * np.linalg.norm(full)
         assert alg.validation_residuals["unit"] <= 1e-14
 
-    @pytest.mark.parametrize("cond_exp", [4, 6], ids=["cond1e4", "cond1e6"])
-    @pytest.mark.parametrize("points", [2, 4, 8])
-    def test_sketched_unit_as_accurate_as_full_lstsq_in_mixed_frames(
-        self, points, cond_exp, mixed_function_algebra
-    ):
-        # both solve the same computed structure tensor, whose own error grows
-        # with the frame's conditioning: they differ from the exact unit, and
-        # from each other, by up to 4e-6 at cond 1e6, so neither is the reference
-        alg, to_mixed = mixed_function_algebra(points, cond_exp)
-        exact = to_mixed @ build_function_algebra(points).unit_coords
-        err_full = np.linalg.norm(self.full_unit_lstsq(alg) - exact)
-        err_sketch = np.linalg.norm(alg.unit_coords - exact)
-        assert err_sketch <= 4 * err_full + 1e-13 * np.linalg.norm(exact)
-        assert alg.validation_residuals["unit"] <= 1e-14
+    @pytest.mark.parametrize("points", [1, 2, 3, 8, 24])
+    def test_function_algebra_unit_is_its_closed_form(self, points):
+        # the pivot solve of I_n reads the closed form back bit for bit
+        alg = build_function_algebra(points)
+        assert alg.unit_coords.tobytes() == np.tile([1.0, 0.0], points).astype(complex).tobytes()
+        assert alg.validation_residuals["unit"] == 0.0
 
-    def test_failed_sketch_falls_back_to_the_full_solve(self, monkeypatch):
+    @pytest.mark.parametrize("cond_exp", [4, 6, 7], ids=["cond1e4", "cond1e6", "cond1e7"])
+    @pytest.mark.parametrize("points", [2, 4, 8, 16])
+    def test_unit_is_the_identity_in_mixed_frames(self, points, cond_exp, mixed_function_algebra):
+        # the unit is I_n in every frame; its matrix is held to I_n itself,
+        # not to a solve of the computed structure tensor, whose error grows
+        # with the frame's conditioning
+        alg, _ = mixed_function_algebra(points, cond_exp, tol=10.0 ** -(cond_exp + 1))
+        n = alg.ambient_dim
+        assert np.linalg.norm(alg.unit.matrix() - np.eye(n), 2) <= 1e-9
+
+    def test_unit_off_tol_falls_back_to_the_left_lstsq(self, monkeypatch):
+        # a pivot solve of I_n whose backward error misses tol is solved again
         base = build_function_algebra(3)
-        monkeypatch.setattr(KreinAlgebra, "_sketched_unit", lambda self: np.zeros(self.dim))
+        monkeypatch.setattr(KreinAlgebra, "coords_of_matrix", lambda self, mat, tol=None: np.zeros(self.dim))
         alg = KreinAlgebra(base.basis, base.symmetry_unitary)
         np.testing.assert_allclose(alg.unit_coords, base.unit_coords, rtol=0, atol=1e-14)
         assert alg.validation_residuals["unit"] <= 1e-15
 
     def test_unit_holds_no_copy_of_the_structure_tensor(self):
-        # the sketch and the backward error read S in place; only the
-        # full-system fallback rearranges it
+        # the pivot solve of I_n and the backward error read S in place; only
+        # the fallback's lstsq copies it
         alg = rotated_function_algebra(32)
         tracemalloc.start()
         try:
@@ -344,7 +365,7 @@ class TestConstruction:
 
 def rotated_arrays(points, seed):
     """The basis and symmetry of the rotated function algebra, unconstructed."""
-    basis, sym, _, _ = _function_algebra_arrays(points)
+    basis, sym, _ = _function_algebra_arrays(points)
     return _conjugated(basis, sym, random_unitary(2 * points, np.random.default_rng(seed)), DEFAULT_TOL)
 
 
