@@ -16,10 +16,13 @@ counterexample
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
 arguments or an unwritable output path, 3 spectral-theorem hypothesis
 failure.  Instances and reports are compact RFC 8259 JSON, written by
-orjson, and deterministic in the input bytes and flags.  A matrix instance
-in the canonical layout gen writes has its basis decoded from the file's
-bytes, one matrix at a time, with no list tree; any other file, with any
-whitespace or key order, is parsed whole, to the same algebra and report.
+orjson, and deterministic in the input bytes and flags.  json parses every
+JSON tree the CLI reads.  A matrix instance in the canonical layout gen
+writes has its basis and symmetry_unitary decoded from the file's bytes,
+one matrix at a time, with no list tree, and json parses what is left; any
+other file, with any whitespace or key order, json parses whole, to the
+same algebra and report.  orjson parses no document: it reads only the
+number tokens of a decoded matrix.
 """
 
 from __future__ import annotations
@@ -176,30 +179,6 @@ def _gc_paused():
             gc.enable()
 
 
-# orjson turns its document into Python objects recursively, with no depth
-# limit, and overflows the C stack on input nested some 50 000 deep; an
-# instance is nested 5 deep.
-_ORJSON_MAX_DEPTH = 64
-# the bytes that set the bracket nesting of JSON text: brackets, the quotes
-# around strings, and backslashes with every character an escape can start
-_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\/bfnrtu')))
-_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
-_PARENS = bytes.maketrans(b"[{]}", b"(())")
-
-
-def _nests_within(raw: bytes, depth: int) -> bool:
-    """Whether the brackets of JSON text, those inside strings not counted,
-    balance and nest at most `depth` deep.  Exact for valid JSON; invalid
-    text orjson rejects while it parses, before nesting can matter."""
-    parens = _STRING.sub(b"", raw.translate(None, _NOT_NESTING))
-    parens = parens.translate(_PARENS, b'"\\/bfnrtu')
-    for _ in range(depth):
-        if not parens:
-            break
-        parens = parens.replace(b"()", b"")  # the innermost level
-    return not parens
-
-
 def _read_bytes(path: Path) -> bytes:
     try:
         return path.read_bytes()
@@ -207,27 +186,12 @@ def _read_bytes(path: Path) -> bytes:
         raise InstanceFormatError(f"cannot read input: {exc}") from exc
 
 
-def _parse_json(raw: bytes, path: Path):
-    """The JSON text raw, read from path.  orjson parses it; json re-reads
-    what orjson rejects or would read differently, so that every error, and
-    every value, is json's: text nested deeper than _ORJSON_MAX_DEPTH, and an
-    `ambient_dim` or `points` that orjson returns as a float (as it does an
-    integer beyond 64 bits).  The re-read goes through read_text, whose
+def _parse_json(path: Path):
+    """The JSON document in path, parsed whole by json, so that every error,
+    and every value, is json's.  The text goes through read_text, whose
     universal newlines set the line numbers in json's messages.  An integer
     longer than int's digit limit, which json refuses to convert, is an
     InstanceFormatError like any other."""
-    if _nests_within(raw, _ORJSON_MAX_DEPTH):
-        try:
-            data = orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            if not (
-                isinstance(data, dict)
-                and float in (type(data.get("ambient_dim")), type(data.get("points")))
-            ):
-                return data
-            del data
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -247,30 +211,47 @@ def _parse_json(raw: bytes, path: Path):
 
 
 # A canonical instance is the text _pieces writes, compact with sorted keys,
-# so a matrix_algebra file opens with its ambient_dim and then its basis.
-# Ten digits are more than any file can hold the basis of.
+# so a matrix_algebra file opens with its ambient_dim and then its basis,
+# and its symmetry_unitary comes last.  Ten digits are more than any file
+# can hold the basis of.
 _CANONICAL_HEAD = re.compile(rb'\{"ambient_dim":([1-9][0-9]{0,9}),"basis":\[')
-# number characters and JSON whitespace: a basis matrix without them is its
+_SYMMETRY_KEY = re.compile(rb'"symmetry_unitary":\[')
+# number characters and JSON whitespace: a matrix without them is its
 # bracket skeleton
 _NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
+def _decode_matrix(span: bytes, skeleton: bytes, out: np.ndarray) -> bool:
+    """Whether span, the text of one matrix, holds one number token in each
+    leaf slot of skeleton and those numbers are finite; if so they are read
+    into out, a C-contiguous complex array of the matrix's shape.  With its
+    brackets blanked, orjson reads the tokens as json would in the whole
+    document (``[re, im]`` pairs in reading order)."""
+    if span.translate(None, _NUMBER_BYTES) != skeleton:
+        return False
+    numbers = b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]"
+    try:
+        out.view(float).reshape(-1)[:] = orjson.loads(numbers)
+    except (orjson.JSONDecodeError, ValueError, OverflowError):
+        return False
+    return bool(np.isfinite(out).all())
+
+
 def _canonical_instance(raw: bytes) -> dict | None:
     """The instance in raw, its basis decoded from the bytes into one
-    (d, n, n) complex array, when raw is a canonical matrix_algebra instance
-    whose basis the tree reader would accept; None otherwise.
+    (d, n, n) complex array and its symmetry_unitary into one (n, n) array,
+    when raw is a canonical matrix_algebra instance whose matrices the tree
+    reader would accept; None otherwise.
 
     Each basis matrix is the span up to its first ``]]]``, followed by a
-    comma, or by the basis's ``]`` after the last.  With number characters
-    and whitespace deleted, the span must be exactly the skeleton of n rows
-    of n [re, im] pairs, so every leaf slot holds one number token or
-    nothing.  With its brackets blanked, orjson reads those tokens as it
-    would in the whole document, and must find 2n² finite numbers.  The rest
-    of the text, the basis replaced by 0, takes the tree reader's nesting
-    guard and orjson; it must hold no backslash (an escaped key) and no
-    second "basis" key, so that duplicate keys resolve as json resolves
-    them."""
+    comma, or by the basis's ``]`` after the last; the symmetry_unitary is
+    the span from the ``[`` after its key up to the next ``]]]``.  Each span
+    must pass ``_decode_matrix`` against the skeleton of n rows of n [re, im]
+    pairs.  json parses the rest of the text, each matrix replaced by [];
+    it must hold no backslash (an escaped key) and no second "basis" or
+    "symmetry_unitary" key, so that duplicate keys resolve as json resolves
+    them, and its top-level symmetry_unitary must be the [] put in."""
     head = _CANONICAL_HEAD.match(raw)
     if head is None:
         return None
@@ -282,43 +263,45 @@ def _canonical_instance(raw: bytes) -> dict | None:
             return None
         spans.append((begin, end))
         sep = raw[end : end + 1]
+    sym = _SYMMETRY_KEY.search(raw, end)
+    if sep != b"]" or sym is None:
+        return None
+    sym_begin = sym.end() - 1
+    sym_end = raw.find(b"]]]", sym_begin) + 3
+    spans.append((sym_begin, sym_end))
     # each pair takes 5 bytes or more: nothing is sized by an ambient_dim or a
     # basis the file cannot hold
-    if sep != b"]" or 5 * n * n * len(spans) > len(raw):
+    if sym_end < sym_begin or 5 * n * n * len(spans) > len(raw):
         return None
     row = b"[" + b",".join([b"[,]"] * n) + b"]"
     skeleton = b"[" + b",".join([row] * n) + b"]"
-    basis = np.empty((len(spans), n, n), complex)
-    for (begin, end), values in zip(spans, basis.view(float).reshape(len(spans), -1)):
-        span = raw[begin:end]
-        if span.translate(None, _NUMBER_BYTES) != skeleton:
-            return None
-        try:
-            values[:] = orjson.loads(b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]")
-        except (orjson.JSONDecodeError, ValueError, OverflowError):
-            return None
-    if not np.isfinite(basis).all():
+    matrices = np.empty((len(spans), n, n), complex)
+    if not all(_decode_matrix(raw[b:e], skeleton, m) for (b, e), m in zip(spans, matrices)):
         return None
-    rest = raw[: head.end() - 1] + b"0" + raw[end + 1 :]
-    if b"\\" in rest or rest.count(b'"basis"') != 1 or not _nests_within(rest, _ORJSON_MAX_DEPTH):
+    # [] is a whole value, as each matrix is, so the rest is valid JSON just
+    # when raw is; 0 would not be (raw's "]e5" would read as 0e5)
+    rest = raw[: head.end() - 1] + b"[]" + raw[end + 1 : sym_begin] + b"[]" + raw[sym_end:]
+    if b"\\" in rest or rest.count(b'"basis"') != 1 or rest.count(b'"symmetry_unitary"') != 1:
         return None
     try:
-        data = orjson.loads(rest)
-    except orjson.JSONDecodeError:
+        data = json.loads(rest.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     # a duplicate ambient_dim other than n is left for the tree reader to name
     if data.get("kind") != "matrix_algebra" or data["ambient_dim"] != n:
         return None
-    data["basis"] = basis
+    # the "symmetry_unitary" found may be a key of a nested object
+    if data.get("symmetry_unitary") != []:
+        return None
+    data["basis"], data["symmetry_unitary"] = matrices[:-1], matrices[-1]
     return data
 
 
 def _read_instance(path: Path):
-    """The instance file parsed, its basis decoded by _canonical_instance when
-    the file is canonical, else the tree _parse_json reads."""
-    raw = _read_bytes(path)
-    data = _canonical_instance(raw)
-    return _parse_json(raw, path) if data is None else data
+    """The instance file parsed, its matrices decoded by _canonical_instance
+    when the file is canonical, else the tree _parse_json reads."""
+    data = _canonical_instance(_read_bytes(path))
+    return _parse_json(path) if data is None else data
 
 
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
@@ -372,13 +355,14 @@ def run_verify(cfg: RunConfig) -> int:
     dim_even = algebra.even_basis.shape[1]
     checks.append(CheckResult("fullness", margin > tol, margin, detail=f"even dim {dim_even}"))
 
-    # both flags are one residual's verdict, so they agree by construction
+    # both flags are one residual's verdict, so they agree by construction;
+    # the row is informational, so it passes whatever they read
     cs = check_commutative_symmetric(algebra, tol)
     checks.append(
         CheckResult(
             "commutative_symmetric",
             True,
-            0.0,
+            cs.commutator_residual,
             detail=f"commutative={cs.commutative} symmetric_bimodule={cs.symmetric_bimodule}",
         )
     )

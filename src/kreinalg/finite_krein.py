@@ -378,9 +378,6 @@ class KreinAlgebra:
         and adjoints.
     symmetry_unitary : array_like, shape (n, n)
         Unitary involution (U^2 = 1) whose conjugation preserves the span.
-    unit_coords : array_like, optional
-        Coordinates of the multiplicative unit; solved for when omitted
-        (``_resolve_unit``).
     odd_generator : array_like, optional
         Coordinates of a candidate odd generator e.  Its algebraic
         properties (e odd, e^2 = unit, e* = -e) are *not* enforced here;
@@ -394,8 +391,8 @@ class KreinAlgebra:
     O(d^2 n^2) for the Gram matrix of the vectorized basis (and a QR of it
     when the Gram margin is too small to trust, ``_independence``), the
     choice of the pivot entries and the alpha images at them, plus the
-    unit: the pivot solve of I_n, O(d^3 + d n^2), and its O(d^3) backward
-    error (``_resolve_unit``).
+    unit, which is always solved for, never supplied: the pivot solve of
+    I_n, O(d^3 + d n^2), and its O(d^3) backward error (``_resolve_unit``).
     The closure certificates (``_certificates``) are taken once, here:
     ``validation_residuals`` keeps them as ``product_closure``,
     ``adjoint_closure`` and ``alpha_closure``, and ``_slot`` keeps their x.
@@ -406,7 +403,6 @@ class KreinAlgebra:
         basis,
         symmetry_unitary,
         *,
-        unit_coords=None,
         odd_generator=None,
         tol: float = DEFAULT_TOL,
     ):
@@ -475,7 +471,7 @@ class KreinAlgebra:
             if not resid <= tol:
                 raise AlgebraValidationError(message)
 
-        self.unit_coords, r_unit = self._resolve_unit(unit_coords)
+        self.unit_coords, r_unit = self._resolve_unit()
         self.validation_residuals["unit"] = r_unit
         if not r_unit <= tol:
             raise AlgebraValidationError("algebra has no multiplicative unit in the span")
@@ -529,9 +525,9 @@ class KreinAlgebra:
         # ((i, j), k) = entries^T inv(K^T)^T
         return (entries.reshape(d, d * d).T @ np.linalg.inv(self._block).T).reshape(d, d, d)
 
-    def _resolve_unit(self, unit_coords) -> tuple[np.ndarray, float]:
-        """The unit's coordinates, given or solved for, and their normwise
-        backward error on the full (2d^2, d) system u B_i = B_i u = B_i.
+    def _resolve_unit(self) -> tuple[np.ndarray, float]:
+        """The unit's coordinates, solved for, and their normwise backward
+        error on the full (2d^2, d) system u B_i = B_i u = B_i.
 
         If I_n lies in the span it is the unit, in any frame, so the solve is
         the pivot solve of I_n (``coords_of_matrix``), in O(d^3 + d n^2).
@@ -557,13 +553,6 @@ class KreinAlgebra:
             # ||b|| = sqrt(2d): b stacks vec(I_d) twice
             return _relative(np.linalg.norm(gap), norm_a * np.linalg.norm(c) + math.sqrt(2.0 * d))
 
-        if unit_coords is not None:
-            sol = _finite("unit_coords", unit_coords).reshape(-1)
-            if sol.shape != (d,):
-                raise AlgebraValidationError(
-                    f"unit_coords needs {d} coordinates, got {sol.shape}"
-                )
-            return sol, backward_error(sol)
         with suppress(SpanError):
             sol = self.coords_of_matrix(np.eye(self.ambient_dim))
             resid = backward_error(sol)
@@ -718,13 +707,7 @@ def conjugate_algebra(algebra: KreinAlgebra, unitary, tol: float | None = None) 
     """Unitarily conjugated copy; coordinates keep their meaning."""
     tol = _positive_tol(algebra.tol if tol is None else tol)
     basis, sym = _conjugated(algebra.basis, algebra.symmetry_unitary, unitary, tol)
-    return KreinAlgebra(
-        basis,
-        sym,
-        unit_coords=algebra.unit_coords,
-        odd_generator=algebra.odd_generator_coords,
-        tol=tol,
-    )
+    return KreinAlgebra(basis, sym, odd_generator=algebra.odd_generator_coords, tol=tol)
 
 
 # -- graded structure ops ------------------------------------------------------
@@ -1119,7 +1102,9 @@ def algebra_from_instance_dict(data, tol: float = DEFAULT_TOL) -> KreinAlgebra:
     """Build an algebra from its JSON form; InstanceFormatError on bad input,
     AlgebraValidationError when the data is well-formed but not an algebra.
     A matrix_algebra's basis is a list of matrices, or one (d, n, n) complex
-    array already decoded, as the CLI reads it from a canonical file."""
+    array already decoded, and its symmetry_unitary a matrix, or one (n, n)
+    complex array already decoded, as the CLI reads both from a canonical
+    file."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object", "")
     kind = data.get("kind")
@@ -1148,7 +1133,9 @@ def algebra_from_instance_dict(data, tol: float = DEFAULT_TOL) -> KreinAlgebra:
                     )
                 mats.append(M)
             basis = np.array(mats)
-        U = _matrix_from_json(data["symmetry_unitary"], "symmetry_unitary")
+        U = data["symmetry_unitary"]
+        if not isinstance(U, np.ndarray):
+            U = _matrix_from_json(U, "symmetry_unitary")
         if U.shape != (n, n):
             raise InstanceFormatError(
                 f"matrix must be {n} x {n}, got {U.shape}", "symmetry_unitary"

@@ -49,19 +49,14 @@ def nonfull_algebra():
 def broken_generator_algebra():
     """Function algebra whose recorded odd generator is scaled by 2."""
     base = build_function_algebra(2)
-    return KreinAlgebra(
-        base.basis,
-        base.symmetry_unitary,
-        unit_coords=base.unit_coords,
-        odd_generator=2.0 * base.odd_generator_coords,
-    )
+    return KreinAlgebra(base.basis, base.symmetry_unitary, odd_generator=2.0 * base.odd_generator_coords)
 
 
 @pytest.fixture(scope="session")
 def no_generator_algebra():
     """Function algebra with the odd generator withheld; otherwise intact."""
     base = build_function_algebra(2)
-    return KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=base.unit_coords)
+    return KreinAlgebra(base.basis, base.symmetry_unitary)
 
 
 def _mixed_frame(points, cond_exp):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, report files, determinism."""
 
+import contextlib
 import gc
 import json
 import math
@@ -57,8 +58,8 @@ def good_instance(tmp_path):
 
 
 def json_only_read(path):
-    """The instance reader that parses with json alone: the reference the
-    orjson reader must agree with."""
+    """The instance reader that parses the whole tree with json: the
+    reference the canonical decoder must agree with."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -107,23 +108,26 @@ def matrix_instance_text(basis_one="1.0"):
     return json.dumps(blob, indent=2).replace('"@"', basis_one)
 
 
-def basis_spans(text):
-    """(begin, end) of each basis matrix in a canonical instance's bytes."""
+def matrix_spans(text):
+    """(begin, end) of each basis matrix, then of the symmetry_unitary, in a
+    canonical instance's bytes."""
     spans, end = [], cli._CANONICAL_HEAD.match(text).end() - 1
     while text[end : end + 1] != b"]":
         begin, end = end + 1, text.index(b"]]]", end + 1) + 3
         spans.append((begin, end))
-    return spans
+    begin = text.index(b'"symmetry_unitary":[') + len(b'"symmetry_unitary":')
+    return spans + [(begin, text.index(b"]]]", begin) + 3)]
 
 
 def canonical_mutants(text, seed):
     """Seeded byte-level mutations of a canonical instance, by family: bytes
-    deleted, doubled or replaced in and at both ends of each basis matrix,
-    ambient_dim values, duplicate and escaped keys, whitespace inside a
-    matrix, leaves that are not numbers or are edge-case numbers, and a
-    fifth nesting level."""
+    deleted, doubled or replaced in and at both ends of each matrix (the
+    basis matrices and the symmetry_unitary), and number text put right
+    after one, ambient_dim values, duplicate and escaped keys, whitespace
+    inside a matrix, leaves that are not numbers or are edge-case numbers,
+    and a fifth nesting level."""
     rng = np.random.default_rng(seed)
-    spans = basis_spans(text)
+    spans = matrix_spans(text)
     replacements = b'[],." -+eE09x\\\n'
     edits = []
     for begin, end in spans:
@@ -131,6 +135,8 @@ def canonical_mutants(text, seed):
         for at in (begin - 1, begin, *inside, end - 1, end):
             edits += [(at, at + 1, b""), (at, at + 1, text[at : at + 1] * 2)]
             edits += [(at, at + 1, bytes([b])) for b in rng.choice(list(replacements), 2)]
+        # after the matrix, or after the basis's "]" that follows the last one
+        edits += [(at, at, suffix) for at in (end, end + 1) for suffix in (b"e5", b".5")]
     byte = [text[:a] + new + text[b:] for a, b, new in edits]
 
     dim = cli._CANONICAL_HEAD.match(text)[1]
@@ -140,7 +146,7 @@ def canonical_mutants(text, seed):
         + (dim + b".0", b"-" + dim)
     ]
 
-    basis = text[spans[0][0] - 1 : spans[-1][1] + 1]
+    basis = text[spans[0][0] - 1 : spans[-2][1] + 1]
     tail = len(text.rstrip()) - 1  # the closing brace
     keys = [
         text[:tail] + extra + text[tail:]
@@ -233,6 +239,16 @@ class TestVerify:
         assert all(c["passed"] and c["max_residual"] == 0.0 for c in trivial)
         assert [c["name"] for c in checks if not c["passed"]] == ["fullness"]
 
+    def test_commutative_symmetric_row_reports_the_commutator_residual(self, tmp_path, m2_algebra):
+        # the row passes, being informational, and reads the residual its
+        # verdict comes from
+        inst, report = tmp_path / "m2.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(algebra_to_instance_dict(m2_algebra)))
+        assert main(["verify", "--input", str(inst), "--report", str(report)]) == 1
+        row = {c["name"]: c for c in json.loads(report.read_text())["checks"]}["commutative_symmetric"]
+        assert row["passed"] and row["max_residual"] > 1e-9
+        assert row["detail"] == "commutative=False symmetric_bimodule=False"
+
     def test_conjugated_instance_passes(self, tmp_path):
         inst = tmp_path / "conj.json"
         assert main(["gen", "--points", "2", "--conjugate", "--out", str(inst)]) == 0
@@ -264,8 +280,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("points", [10**7, 2**64], ids=["10**7", "2**64"])
     def test_unbuildable_function_algebra_is_a_schema_error(self, tmp_path, capsys, points):
-        """numpy refuses both sizes before allocating anything; 2**64 is read
-        by the json fallback."""
+        """numpy refuses both sizes before allocating anything; json reads
+        2**64 as an int."""
         inst = tmp_path / "big.json"
         inst.write_text(f'{{"kind": "function_algebra", "points": {points}}}')
         assert main(["verify", "--input", str(inst)]) == 2
@@ -392,31 +408,52 @@ class TestVerify:
     @pytest.mark.parametrize("points", [1, 2, 8])
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch, points, conjugate):
-        """gen's output is read once, by orjson, and its basis is decoded from
-        the bytes, with no basis matrix parsed as a list tree; its indented twin
-        takes the tree path to the same report."""
+        """json parses gen's output once, and a canonical file's matrices are
+        decoded from its bytes: no matrix field is read as a list tree, and
+        json sees no [[[.  The indented twin takes json's tree path, every
+        matrix through _matrix_from_json, to the same report."""
         inst, twin = tmp_path / "gen.json", tmp_path / "indented.json"
         main(["gen", "--points", str(points), "--out", str(inst)] + ["--conjugate"] * conjugate)
         twin.write_text(json.dumps(json.loads(inst.read_text()), indent=2))
-        decode = finite_krein._matrix_from_json
-        fields = []
+        decode, loads = finite_krein._matrix_from_json, json.loads
+        fields, texts = [], []
         monkeypatch.setattr(
             finite_krein, "_matrix_from_json", lambda rows, field: fields.append(field) or decode(rows, field)
         )
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("valid input took the json path")
-
-        monkeypatch.setattr(json, "loads", refuse)
-        monkeypatch.setattr(Path, "read_text", refuse)
-        reports, basis_fields = [], []
+        monkeypatch.setattr(json, "loads", lambda text, **kw: texts.append(text) or loads(text, **kw))
+        reports, reads = [], []
         for path in (inst, twin):
             reports.append(tmp_path / f"{path.stem}-report.json")
             assert main(["verify", "--input", str(path), "--report", str(reports[-1])]) == 0
-            basis_fields.append([f for f in fields if f.startswith("basis")])
+            reads.append((fields[:], len(texts), any("[[[" in t for t in texts)))
             fields.clear()
-        assert basis_fields == [[], [f"basis[{i}]" for i in range(2 * points)] if conjugate else []]
+            texts.clear()
+        matrices = [f"basis[{i}]" for i in range(2 * points)] + ["symmetry_unitary"]
+        assert reads == [([], 1, False), (matrices if conjugate else [], 1, False)]
         assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_orjson_reads_only_flat_lists_of_numbers(self, tmp_path, monkeypatch, points):
+        """orjson parses no document: every text it is given, on gen's output,
+        its indented twin and every canonical mutant, is one flat list of
+        number tokens."""
+        inst, twin = tmp_path / "gen.json", tmp_path / "indented.json"
+        main(["gen", "--points", str(points), "--conjugate", "--seed", "3", "--out", str(inst)])
+        twin.write_text(json.dumps(json.loads(inst.read_text()), indent=2))
+        loads, texts = orjson.loads, []
+        monkeypatch.setattr(orjson, "loads", lambda text: texts.append(text) or loads(text))
+        for command in ("verify", "spectrum"):
+            for path in (inst, twin):
+                assert main([command, "--input", str(path)]) == 0
+        # one call per decoded matrix, for each command's read of inst
+        assert len(texts) == 2 * (2 * points + 1)
+        for family in canonical_mutants(inst.read_bytes(), seed=points).values():
+            for text in family:
+                inst.write_bytes(text)
+                with contextlib.suppress(kreinalg.InstanceFormatError), np.errstate(all="ignore"):
+                    cli._read_instance(inst)
+        flat = re.compile(rb"\[[0-9.eE+\-, \t\n\r]*\]")
+        assert all(flat.fullmatch(t) for t in texts)
 
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["list", "object"])
@@ -431,7 +468,7 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize("field", ["points", "ambient_dim"])
     def test_integer_beyond_the_digit_limit_is_a_schema_error(self, tmp_path, capsys, command, field):
-        """orjson rejects such an integer and json cannot convert it to int."""
+        """json cannot convert such an integer to int."""
         inst, limit = tmp_path / "long.json", sys.get_int_max_str_digits()
         digits = "1" * (limit + 700)
         if field == "points":
@@ -445,9 +482,10 @@ class TestVerify:
         assert f"error: invalid JSON: an integer has more than {limit} digits" in capsys.readouterr().err
 
     def test_nesting_hidden_by_brackets_in_strings_is_a_schema_error(self, tmp_path):
-        """Nesting deep enough to overflow the C stack in orjson, behind a
-        string of closing brackets that a count blind to strings would
-        subtract; in a subprocess, so a crash fails only this test."""
+        """Nesting deep enough to overflow the C stack of a parser without a
+        depth limit, behind a string of closing brackets that a count blind to
+        strings would subtract; in a subprocess, so a crash fails only this
+        test."""
         inst = tmp_path / "deep.json"
         depth = 100_000
         inst.write_text(
@@ -462,19 +500,6 @@ class TestVerify:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: invalid JSON: nested too deep to parse\n"
-
-    @pytest.mark.parametrize(
-        "text, depth",
-        [
-            (b"[]", 1),
-            (b'{"a": [1, {"b": "]]}}"}]}', 3),
-            (b'{"k": "\\"[[{", "x": [[[]]]}', 4),
-            (b'["\\\\", [[]], "\\u005b\\n\\/"]', 3),
-        ],
-    )
-    def test_nesting_depth_skips_strings(self, text, depth):
-        assert cli._nests_within(text, depth)
-        assert not cli._nests_within(text, depth - 1)
 
     def test_more_basis_matrices_than_entries_is_a_schema_error(self, tmp_path, capsys):
         inst = tmp_path / "dependent.json"
@@ -607,6 +632,7 @@ def test_mixed_frame_sweep(tmp_path, mixed_function_instance, points, cond_exp, 
         checks = {c["name"]: c for c in blob["checks"]}
         assert all(c["passed"] for c in checks.values())
         assert checks["commutative_symmetric"]["detail"].startswith("commutative=True ")
+        assert checks["commutative_symmetric"]["max_residual"] <= float(tol)
 
 
 @pytest.mark.parametrize("tol", ["1e-9", "1e-8", "1e-7", "1e-6"])
@@ -757,7 +783,11 @@ class TestGen:
         text = out.read_bytes()
         assert text == orjson.dumps(data, option=cli._OPT) + b"\n"
         assert read_back(json.loads(text)) == read_back(data)
-        assert read_back(cli._parse_json(text, out)) == read_back(data)
+        assert read_back(cli._parse_json(out)) == read_back(data)
+        if conjugate:  # the canonical decoder reads the same matrices
+            decoded = cli._canonical_instance(text)
+            for key in ("basis", "symmetry_unitary"):
+                assert decoded[key].tobytes() == np.array(data[key]).tobytes()
         assert b"\n" not in text[:-1] and b" " not in text  # compact
 
     def test_unbuildable_points_exit_2(self, tmp_path, capsys):

@@ -224,10 +224,6 @@ class TestConstruction:
         # a GL(d) change of basis of condition number 1e4 keeps a valid algebra valid
         mixed, _ = mixed_function_algebra(points)
         assert mixed.validation_residuals["unit"] <= 1e-14
-        base = build_function_algebra(points)
-        # while a wrong unit is still rejected
-        with pytest.raises(AlgebraValidationError, match="unit"):
-            KreinAlgebra(base.basis, base.symmetry_unitary, unit_coords=2.0 * base.unit_coords)
 
     @pytest.mark.parametrize("cond_exp", [4, 6], ids=["cond1e4", "cond1e6"])
     @pytest.mark.parametrize("points", [2, 4, 8])
@@ -337,21 +333,20 @@ class TestConstruction:
         alg = rotated_function_algebra(32)
         tracemalloc.start()
         try:
-            _, resid = alg._resolve_unit(None)
+            _, resid = alg._resolve_unit()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert resid <= 1e-14
         assert peak < alg.structure.nbytes / 4
 
-    @pytest.mark.parametrize("argument", ["basis", "symmetry_unitary", "unit_coords", "odd_generator"])
+    @pytest.mark.parametrize("argument", ["basis", "symmetry_unitary", "odd_generator"])
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_arguments(self, argument, value):
         base = build_function_algebra(2)
         args = {
             "basis": base.basis.copy(),
             "symmetry_unitary": base.symmetry_unitary.copy(),
-            "unit_coords": base.unit_coords.copy(),
             "odd_generator": base.odd_generator_coords.copy(),
         }
         args[argument].reshape(-1)[1] = value
@@ -883,7 +878,7 @@ class TestVerdicts:
         # fail every algebraic test (a NaN residual is not within tol) and the
         # isometry, not end in an SVD error
         alg = build_function_algebra(2)
-        alg = KreinAlgebra(alg.basis, alg.symmetry_unitary, unit_coords=alg.unit_coords)
+        alg = KreinAlgebra(alg.basis, alg.symmetry_unitary)
         alg.odd_generator_coords = np.full(alg.dim, math.nan + 0j)
         verdict = check_odd_symmetry(alg)
         assert verdict.exists is False and verdict.isometric is False
@@ -899,17 +894,11 @@ def named_result(check, alg, name):
 def defective_algebra(points, defect, monkeypatch):
     """The rotated function algebra over ``points`` points with one
     ``CERTIFICATE_DEFECTS`` entry built in, constructed at tol 1e-2 so that
-    construction finishes and records the defect's certificate; the unit and
-    the odd generator are the intact algebra's."""
+    construction finishes and records the defect's certificate; the odd
+    generator is the intact algebra's, and the unit is solved for."""
     base = rotated_function_algebra(points)
     basis, sym = CERTIFICATE_DEFECTS[defect][0](base, monkeypatch)
-    return KreinAlgebra(
-        basis,
-        sym,
-        unit_coords=base.unit_coords,
-        odd_generator=base.odd_generator_coords,
-        tol=1e-2,
-    )
+    return KreinAlgebra(basis, sym, odd_generator=base.odd_generator_coords, tol=1e-2)
 
 
 class TestCertificateChecks:

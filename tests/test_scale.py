@@ -84,12 +84,11 @@ def alpha_even_hermitian(symmetry, rng):
 def with_basis_defect(points, size, s):
     """Rotated N = ``points`` with ``size`` times an alpha-even Hermitian
     matrix added to its first basis matrix (of norm 1), then scaled by s;
-    constructed at tol 0.5 with the unit supplied, so the defect reaches the
-    certificates."""
-    basis, sym, unit, generator = rotated(points)
+    constructed at tol 0.5, so the defect reaches the certificates."""
+    basis, sym, _, generator = rotated(points)
     basis = basis.copy()
     basis[0] += size * alpha_even_hermitian(sym, np.random.default_rng(5))
-    return KreinAlgebra(s * basis, sym, unit_coords=unit / s, odd_generator=generator / s, tol=0.5)
+    return KreinAlgebra(s * basis, sym, odd_generator=generator / s, tol=0.5)
 
 
 @pytest.mark.parametrize("s", [10.0**k for k in range(-6, 5)])
@@ -117,7 +116,7 @@ def test_relative_defects_of_1e_8_fail_at_tol_1e_9(points, s):
     # of their norms in a well-conditioned basis
     basis, sym, unit, e = rotated(points)
     for failure, defective in generator_defects(e, unit, 1e-8).items():
-        alg = KreinAlgebra(s * basis, sym, unit_coords=unit / s, odd_generator=defective / s)
+        alg = KreinAlgebra(s * basis, sym, odd_generator=defective / s)
         verdict = check_odd_symmetry(alg, tol=1e-9)
         assert failure in verdict.failures, (failure, verdict)
         assert verdict.max_residual > 2e-9
