@@ -393,6 +393,46 @@ class TestVerify:
         # the decoder accepts some mutants of these families
         assert any(d is not None for d in decoded) == (family not in ("ambient_dim", "nesting"))
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            b"[]",
+            b'{"a": [1, {"b": "]]}}"}]}',
+            b'{"k": "\\"[[{", "x": [[[]]]}',
+            b'["\\\\", [[]], "\\u005b\\n\\/"]',
+        ],
+        ids=["empty", "closing", "escaped-quote", "escapes"],
+    )
+    def test_brackets_in_strings_leave_the_read_unchanged(self, tmp_path, monkeypatch, capsys, value):
+        """An unknown key whose value holds brackets inside strings, put before
+        the symmetry_unitary or after it, changes neither verify's outcome nor
+        which reader takes the file: the span decoder reads the file unless
+        the value holds a backslash, and agrees with the tree reader."""
+        inst, report = tmp_path / "gen.json", tmp_path / "report.json"
+        main(["gen", "--points", "2", "--conjugate", "--seed", "3", "--out", str(inst)])
+        text = inst.read_bytes()
+        tail = len(text.rstrip()) - 1  # the closing brace
+        variants = [
+            text.replace(b'"kind"', b'"a":' + value + b',"kind"', 1),
+            text[:tail] + b',"z":' + value + text[tail:],
+        ]
+        capsys.readouterr()
+
+        def outcome():
+            report.unlink(missing_ok=True)
+            code = main(["verify", "--input", str(inst), "--report", str(report)])
+            return code, capsys.readouterr().out, report.read_bytes()
+
+        plain = outcome()
+        assert plain[0] == 0
+        for variant in variants:
+            inst.write_bytes(variant)
+            assert (cli._canonical_instance(variant) is not None) == (b"\\" not in value)
+            assert outcome() == plain
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_canonical_instance", lambda raw: None)
+                assert outcome() == plain
+
     @given(
         st.lists(
             st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**300), 10**300)),
