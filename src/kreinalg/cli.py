@@ -16,24 +16,24 @@ counterexample
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
 arguments or an unwritable output path, 3 spectral-theorem hypothesis
 failure.  Instances and reports are compact RFC 8259 JSON, written by
-orjson, and deterministic in the input bytes and flags.  json parses every
-JSON tree the CLI reads.  A matrix instance in the canonical layout gen
-writes has its basis and symmetry_unitary decoded from the file's bytes,
-one matrix at a time, with no list tree, and json parses what is left; any
-other file, with any whitespace or key order, json parses whole, to the
-same algebra and report.  orjson parses no document: it reads only the
-number tokens of a decoded matrix.
+orjson, and deterministic in the input bytes and flags.  gen hands orjson
+each matrix as the float64 view of its [re, im] pairs, which orjson writes
+as nested lists, so no list tree is built.  json parses every JSON tree the
+CLI reads.  A matrix instance in the canonical layout gen writes has its
+basis and symmetry_unitary decoded from the file's bytes, one matrix at a
+time, with no list tree, and json parses what is left; any other file, with
+any whitespace or key order, json parses whole, to the same algebra and
+report.  orjson parses no document: it reads only the number tokens of a
+decoded matrix.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +57,6 @@ from .finite_krein import (
     _function_algebra_arrays,
     _implied_rows,
     _matrix_instance,
-    _pairs_to_json,
 )
 from .spectrum import ClusteringAmbiguityError, NotCommutativeError
 from .spectrum import SpectralHypothesisError, verify_spectral_theorem
@@ -108,26 +107,18 @@ class RunConfig:
         return self
 
 
-# compact RFC 8259 text; numpy scalars too: counterexample cells carry
-# numpy.float64, spelled as float
+# compact RFC 8259 text; numpy too: counterexample cells carry numpy.float64,
+# spelled as float, and an instance's matrices are float64 arrays of their
+# [re, im] pairs (_pairs_view), spelled as nested lists
 _OPT = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
-def _complex_pairs(o) -> list:
-    """orjson's fallback for what it cannot write: a complex array becomes
-    its [re, im] pairs, so a basis matrix is a list tree only while it is
-    being formatted."""
-    if isinstance(o, np.ndarray) and np.iscomplexobj(o):
-        return _pairs_to_json(o)
-    raise TypeError(f"cannot write {type(o).__name__}")
-
-
 def _pieces(o, depth: int = 2):
-    """The bytes of orjson.dumps(o, default=_complex_pairs, option=_OPT) in
-    pieces: containers in the top `depth` levels yield one piece per member,
-    so a large value is never held whole.  Dict keys must be strings."""
+    """The bytes of orjson.dumps(o, option=_OPT) in pieces: containers in the
+    top `depth` levels yield one piece per member, so a large value is never
+    held whole.  Dict keys must be strings."""
     if depth == 0 or not isinstance(o, (dict, list, tuple)) or not o:
-        yield orjson.dumps(o, default=_complex_pairs, option=_OPT)
+        yield orjson.dumps(o, option=_OPT)
         return
     if isinstance(o, dict):
         opening, closing = b"{", b"}"
@@ -142,8 +133,7 @@ def _pieces(o, depth: int = 2):
 
 
 def _dump_json(data: dict, path: Path | None) -> bool:
-    """Write orjson.dumps(data, default=_complex_pairs, option=_OPT) plus a
-    newline to path: complex arrays as [re, im] pairs, shortest
+    """Write orjson.dumps(data, option=_OPT) plus a newline to path: shortest
     round-trip floats, null for non-finite numbers.  With no path, format
     nothing.  False, with the error printed, when the file cannot be written."""
     if path is None:
@@ -151,8 +141,8 @@ def _dump_json(data: dict, path: Path | None) -> bool:
     # After OpenBLAS's complex GEMM, orjson formats floats 4-10x slower until
     # a numpy ufunc has run, which fits an upper AVX-512 register state left
     # dirty (SSE code pays for it; a ufunc's vector code clears it).  On a
-    # 2-core AVX-512 Xeon, gen --points 24 --conjugate takes 0.09-0.13 s with
-    # this line and 0.14-0.27 s without.
+    # 2-core AVX-512 Xeon, gen --points 24 --conjugate takes 0.03-0.04 s with
+    # this line and 0.09-0.23 s without.
     np.add(np.ones(64), 1.0)
     try:
         with path.open("wb") as f:
@@ -162,21 +152,6 @@ def _dump_json(data: dict, path: Path | None) -> bool:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
     return True
-
-
-@contextmanager
-def _gc_paused():
-    """Cyclic garbage collection off for a phase that builds or drops a large
-    JSON tree.  The tree's lists hold no cycles, so refcounting frees them,
-    and each collector pass would only walk them.  The caller's state is
-    restored on exit: a collector the caller disabled stays disabled."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -305,10 +280,7 @@ def _read_instance(path: Path):
 
 
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
-    # a parsed tree lives only as the call's argument, so it is freed
-    # before the collector is switched back on
-    with _gc_paused():
-        return algebra_from_instance_dict(_read_instance(cfg.input_path), tol=cfg.tol)
+    return algebra_from_instance_dict(_read_instance(cfg.input_path), tol=cfg.tol)
 
 
 def _drawable(cfg: RunConfig) -> bool:
@@ -449,9 +421,7 @@ def run_gen(cfg: RunConfig) -> int:
         data = _matrix_instance(basis, sym, odd_gen)
     else:
         data = function_algebra_instance(cfg.points)
-    with _gc_paused():
-        written = _dump_json(data, cfg.output_path)
-    if not written:
+    if not _dump_json(data, cfg.output_path):
         return EXIT_BAD_INPUT
     print(f"wrote {cfg.output_path}")
     return EXIT_OK
@@ -544,12 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed")
+        p.add_argument("--tol", type=float, default=RunConfig.tol, help="residual tolerance")
+        p.add_argument("--seed", type=int, default=RunConfig.seed, help="RNG seed")
         p.add_argument(
             "--samples",
             type=int,
-            default=100,
+            default=RunConfig.samples,
             help="random element pairs per theta cell of counterexample "
             "(verify and spectrum accept it; verify's report echoes it)",
         )
@@ -575,13 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("counterexample", help="sweep the deformed family over a theta grid")
-    p.add_argument("--grid", type=int, default=64, help="theta grid size (even)")
+    p.add_argument("--grid", type=int, default=RunConfig.grid, help="theta grid size (even)")
     p.add_argument("--report", type=Path, default=None)
     common(p)
     return parser
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
+    # a subcommand without --points, --conjugate or --grid keeps RunConfig's default
+    own = {k: getattr(ns, k) for k in ("points", "conjugate", "grid") if hasattr(ns, k)}
     return RunConfig(
         command=ns.command,
         input_path=getattr(ns, "input", None),
@@ -589,9 +561,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         tol=ns.tol,
         seed=ns.seed,
         samples=ns.samples,
-        points=getattr(ns, "points", 2),
-        conjugate=getattr(ns, "conjugate", False),
-        grid=getattr(ns, "grid", 64),
+        **own,
     )
 
 

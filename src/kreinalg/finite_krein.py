@@ -52,15 +52,14 @@ re-certify attributes rebound later.  ``_IMPLIED`` maps each such check to
 its theorem and its certificates.  The Krein involution's matrix
 ``star_coord`` is derived from ``alpha_coord`` and ``dagger_coord``.
 
-Instance files store complex entries as [re, im] pairs.  A matrix is read
-by checking the types and lengths of its rows, pairs and leaves in C-level
-passes, then converting its leaves with one ``np.fromiter`` and rejecting
-NaN, infinite and out-of-range numbers, and written from one stacked array;
-only a malformed matrix is walked row by row, to name its first offender.
-The CLI parses and builds these JSON trees with the cyclic garbage
-collector paused: they hold no reference cycles, so refcounting frees them,
-and a collector pass over their (at N = 64, millions of) lists would find
-nothing to collect.
+Instance files store complex entries as [re, im] pairs.  A matrix is
+written from the float64 view of its pairs (``_pairs_view``), which orjson
+spells as nested lists, so no list tree is built.  A matrix given as a JSON
+list tree is read by checking the types and lengths of its rows, pairs and
+leaves in C-level passes, then converting its leaves in one pass and
+rejecting NaN, infinite and out-of-range numbers; only a malformed matrix
+is walked row by row, to name its first offender.  The CLI decodes the
+matrices of a canonical file from its bytes, and builds no tree of them.
 
 The odd part of a commutative instance carries two Hilbert bimodule inner
 products over the even part, and an optional odd generator e (e^2 = unit,
@@ -476,7 +475,11 @@ class KreinAlgebra:
         if not r_unit <= tol:
             raise AlgebraValidationError("algebra has no multiplicative unit in the span")
 
-        # grading projections and orthonormal coordinate bases of the two parts
+        # grading projections and orthonormal coordinate bases of the two parts.
+        # alpha^2 = 1 makes each projection idempotent, and an idempotent's
+        # nonzero singular values are >= 1 (in a suitable orthonormal basis
+        # it is [[I, X], [0, 0]], with singular values 1 and sqrt(1 + s^2)),
+        # so the 0.5 cut parts them from rounding-level zeros in any frame
         proj_even = (np.eye(d) + self.alpha_coord) / 2.0
         u_svd, s_svd, _ = np.linalg.svd(proj_even)
         self.even_basis = u_svd[:, s_svd > 0.5]
@@ -998,10 +1001,17 @@ def quotient_by_ideal(
 # -- serialization -------------------------------------------------------------
 
 
+def _pairs_view(M) -> np.ndarray:
+    """The [re, im] pairs of a complex array as float64, shape M.shape + (2,):
+    a view of M itself when M is C-contiguous complex.  orjson writes it
+    natively, as the lists of ``_pairs_to_json``."""
+    M = np.asarray(M)
+    return np.ascontiguousarray(M, dtype=complex).view(float).reshape(M.shape + (2,))
+
+
 def _pairs_to_json(M) -> list:
     """Nested [re, im] lists of a complex array, one pair per entry."""
-    M = np.asarray(M, dtype=complex)
-    return np.stack([M.real, M.imag], -1).tolist()
+    return _pairs_view(M).tolist()
 
 
 _PAIR_MESSAGE = "expected a [re, im] pair of numbers"
@@ -1078,11 +1088,9 @@ def function_algebra_instance(points: int) -> dict:
     return {"kind": "function_algebra", "points": int(points)}
 
 
-def _matrix_instance(basis, symmetry_unitary, odd_generator, leaf=None) -> dict:
+def _matrix_instance(basis, symmetry_unitary, odd_generator, leaf=_pairs_view) -> dict:
     """The matrix_algebra instance of these complex arrays, each basis matrix,
-    the unitary and the generator's coordinates passed through ``leaf`` when
-    one is given."""
-    leaf = leaf or (lambda a: a)
+    the unitary and the generator's coordinates passed through ``leaf``."""
     return {
         "kind": "matrix_algebra",
         "ambient_dim": len(symmetry_unitary),

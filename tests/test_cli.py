@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from kreinalg import (
 )
 from kreinalg import cli, finite_krein
 from kreinalg.cli import main
-from kreinalg.finite_krein import _pairs_to_json
+from kreinalg.finite_krein import _pairs_to_json, _pairs_view
 from kreinalg.spectrum import ClusteringAmbiguityError, NotCommutativeError
 
 
@@ -855,6 +856,22 @@ class TestGen:
         assert "error: conjugating matrix is not unitary" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rotated_basis_is_freed(self, tmp_path, monkeypatch):
+        """Once gen returns, nothing holds the rotated basis or unitary: orjson
+        writes their float views natively, and keeps no reference to them."""
+        refs = []
+        conjugated = cli._conjugated
+
+        def spy(*args):
+            arrays = conjugated(*args)
+            refs.extend(map(weakref.ref, arrays))
+            return arrays
+
+        monkeypatch.setattr(cli, "_conjugated", spy)
+        assert main(["gen", "--points", "2", "--conjugate", "--out", str(tmp_path / "rot.json")]) == 0
+        gc.collect()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
 
 class TestCounterexample:
     def test_landscape(self, tmp_path):
@@ -982,9 +999,9 @@ class TestBadArgumentsAndFiles:
         assert not target.parent.exists()
 
 
-class TestGcPause:
-    """The bulk-JSON phases run with the cyclic collector off and leave the
-    caller's collector state as they found it, on every exit."""
+class TestCollectorState:
+    """Load and gen run under, and leave, the cyclic collector state the
+    caller set, on every exit."""
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def caller_gc(self, request):
@@ -1026,7 +1043,7 @@ class TestGcPause:
             with pytest.raises(error):
                 cli._load_algebra(cfg)
         assert gc.isenabled() is caller_gc
-        assert seen == ([] if text == "{not json" else [False])
+        assert seen == ([] if text == "{not json" else [caller_gc])
 
     @pytest.mark.parametrize("writable", [True, False], ids=["ok", "unwritable"])
     def test_gen_restores_the_caller_state(self, tmp_path, monkeypatch, caller_gc, writable):
@@ -1037,7 +1054,7 @@ class TestGcPause:
         code = main(["gen", "--points", "2", "--conjugate", "--out", str(out)])
         assert code == (0 if writable else 2)
         assert gc.isenabled() is caller_gc
-        assert seen == [False]
+        assert seen == [caller_gc]
 
 
 class TestParser:
@@ -1050,6 +1067,19 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["verify"])
         assert err.value.code == 2
+
+    def test_flags_left_out_take_the_run_config_defaults(self):
+        def parse(*argv):
+            return cli.config_from_args(cli.build_parser().parse_args(argv))
+
+        defaults = cli.RunConfig("counterexample")
+        assert (defaults.seed, defaults.samples, defaults.grid, defaults.points) == (42, 100, 64, 2)
+        assert defaults.tol == 1e-9 and not defaults.conjugate
+        assert parse("counterexample") == defaults
+        assert parse("verify", "--input", "x") == cli.RunConfig("verify", input_path=Path("x"))
+        assert parse("gen", "--points", "3", "--out", "x") == cli.RunConfig(
+            "gen", output_path=Path("x"), points=3
+        )
 
 
 # JSON values of the shapes the CLI writes, and the edge cases of the writer:
@@ -1116,17 +1146,24 @@ class TestJsonWriter:
         )
     )
     def test_complex_arrays_are_written_as_pairs(self, data):
-        """A complex ndarray is written as its [re, im] pair lists would be."""
+        """The float view of a complex ndarray's [re, im] pairs is written as
+        its pair lists would be; the complex ndarray itself is refused."""
 
-        def as_pairs(o):
+        def convert(o, leaf):
             if isinstance(o, np.ndarray):
-                return _pairs_to_json(o)
+                return leaf(o)
             if isinstance(o, list):
-                return [as_pairs(v) for v in o]
+                return [convert(v, leaf) for v in o]
             return o
 
-        expected = {k: as_pairs(v) for k, v in data.items()}
-        assert b"".join(cli._pieces(data)) == orjson.dumps(expected, option=cli._OPT)
+        views = {k: convert(v, _pairs_view) for k, v in data.items()}
+        expected = {k: convert(v, _pairs_to_json) for k, v in data.items()}
+        assert b"".join(cli._pieces(views)) == orjson.dumps(expected, option=cli._OPT)
+        arrays = []
+        convert(list(data.values()), arrays.append)
+        for a in arrays:
+            with pytest.raises(TypeError):
+                b"".join(cli._pieces({"m": a}))
 
     def test_no_path_formats_nothing(self, good_instance, monkeypatch):
         def refuse(*args):

@@ -546,6 +546,20 @@ class TestGrading:
         ax = x.alpha()
         assert np.allclose(ax.coords, (x.even_part - x.odd_part).coords, atol=1e-12)
 
+    @pytest.mark.parametrize("cond_exp", [0, 2, 4, 6, 7], ids=lambda e: f"cond1e{e}")
+    @pytest.mark.parametrize("points", [2, 4, 8, 16])
+    def test_grading_projections_have_no_singular_value_near_the_cut(
+        self, points, cond_exp, mixed_function_algebra
+    ):
+        # (I +- A)/2 is idempotent, so its nonzero singular values are >= 1,
+        # and construction's 0.5 cut sits far from both groups in every frame
+        # (measured: at most 3.3e-10, at cond 1e7, or at least 1.0)
+        alg, _ = mixed_function_algebra(points, cond_exp)
+        eye = np.eye(alg.dim)
+        for sign in (1, -1):
+            s = np.linalg.svd((eye + sign * alg.alpha_coord) / 2.0, compute_uv=False)
+            assert np.all((s <= 1e-8) | (s >= 1.0 - 1e-8)), (sign, s)
+
 
 class TestStars:
     def test_dagger_is_ambient_adjoint(self, fn3):
