@@ -16,7 +16,9 @@ counterexample
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input or
 arguments or an unwritable output path, 3 spectral-theorem hypothesis
 failure.  Instances and reports are compact RFC 8259 JSON, written by
-orjson, and deterministic in the input bytes and flags.  gen hands orjson
+orjson, and deterministic in the input bytes and flags at a fixed numpy/BLAS
+build and BLAS thread count; across thread counts only roundoff moves, so
+verdicts and exit codes hold but bytes may not.  gen hands orjson
 each matrix as the float64 view of its [re, im] pairs, which orjson writes
 as nested lists, so no list tree is built.  json parses every JSON tree the
 CLI reads.  A matrix instance in the canonical layout gen writes has its
@@ -327,15 +329,15 @@ def run_verify(cfg: RunConfig) -> int:
     dim_even = algebra.even_basis.shape[1]
     checks.append(CheckResult("fullness", margin > tol, margin, detail=f"even dim {dim_even}"))
 
-    # both flags are one residual's verdict, so they agree by construction;
-    # the row is informational, so it passes whatever they read
+    # one flag is the verdict on both conditions, which are equivalent; the
+    # row is informational, so it passes whatever the flag reads
     cs = check_commutative_symmetric(algebra, tol)
     checks.append(
         CheckResult(
             "commutative_symmetric",
             True,
             cs.commutator_residual,
-            detail=f"commutative={cs.commutative} symmetric_bimodule={cs.symmetric_bimodule}",
+            detail=f"commutative={cs.commutative} symmetric_bimodule={cs.commutative}",
         )
     )
 

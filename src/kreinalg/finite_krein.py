@@ -764,13 +764,11 @@ def check_full(algebra: KreinAlgebra, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class CommutativeSymmetricVerdict:
-    """Joint verdict; the two conditions are equivalent (see
-    ``check_commutative_symmetric``), so flags and residuals come from one relative residual."""
+    """Joint verdict on both conditions, which are equivalent (see
+    ``check_commutative_symmetric``): one flag and the one relative residual it reads."""
 
     commutative: bool
-    symmetric_bimodule: bool
     commutator_residual: float
-    symmetry_residual: float
 
 
 def check_commutative_symmetric(
@@ -778,15 +776,17 @@ def check_commutative_symmetric(
 ) -> CommutativeSymmetricVerdict:
     """Commutativity as x B_j = B_j x for every basis element B_j, x the random
     slot construction kept (``_certificates``): the commutator is linear in x,
-    so a noncommuting pair survives it almost surely (Freivalds, 1977).  Its
-    residual ||L - R||_F / (||L||_F + ||R||_F), L[j] and R[j] the coordinates of
-    x B_j and B_j x, meets tol, in O(d^2) memory.  It is also the verdict on a
-    commutative even part plus a symmetric odd bimodule (a x = x a, x y^dag =
-    y^dag x for even a, odd x, y): y -> y^dag maps the odd part onto itself, so
-    those commutators are S - S^T in a graded basis, S the structure tensor."""
+    so a noncommuting pair survives it almost surely (Freivalds, 1977).
+    ``commutative`` is whether the residual ||L - R||_F / (||L||_F + ||R||_F),
+    L[j] and R[j] the coordinates of x B_j and B_j x, meets tol, in O(d^2)
+    memory.  The same flag is the verdict on a commutative even part plus a
+    symmetric odd bimodule (a x = x a, x y^dag = y^dag x for even a, odd x, y):
+    y -> y^dag maps the odd part onto itself, so those commutators are S - S^T
+    in a graded basis, S the structure tensor, and no second flag or residual
+    is kept."""
     left, right = algebra._left_matrices(algebra._slot), algebra._slot @ algebra.structure
     comm = _relative(np.linalg.norm(left - right), np.linalg.norm(left) + np.linalg.norm(right))
-    return CommutativeSymmetricVerdict(comm <= tol, comm <= tol, comm, comm)
+    return CommutativeSymmetricVerdict(comm <= tol, comm)
 
 
 @dataclass(frozen=True)
@@ -849,8 +849,8 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
 # it follows from).  The theorem can fail only where the coordinate data
 # disagrees with the basis, so the check reports the largest of those
 # certificates.  The rows before ``odd_symmetry`` are verify's; the last two
-# are the ``isometric`` flag of ``check_odd_symmetry`` and the certificate half
-# of ``verify_spectral_theorem``'s ``isometry``.  README lists the same table.
+# are the ``isometric`` flag of ``check_odd_symmetry`` and
+# ``verify_spectral_theorem``'s ``isometry``.  README lists the same table.
 _CLOSURES = ("product", "adjoint", "alpha")
 _IMPLIED = {
     "cstar_identity": ("||x^dag x|| = ||x||^2", ("product", "adjoint")),

