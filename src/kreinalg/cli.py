@@ -26,12 +26,18 @@ basis and symmetry_unitary decoded from the file's bytes, one matrix at a
 time, with no list tree, and json parses what is left; any other file, with
 any whitespace or key order, json parses whole, to the same algebra and
 report.  orjson parses no document: it reads only the number tokens of a
-decoded matrix.
+decoded matrix.  The end of each matrix is looked for from the previous
+matrix's length and stands only if the matrix's exact bracket-skeleton check
+passes; after a miss, every later matrix is found by the exact search from
+its start.  On a 2-core host the decode takes about 28 ms at rotated
+N = 24 (5 MB) and 0.54 s at N = 64 (96 MB), against 32 ms and 0.63 s when
+every end was searched for from the matrix's start.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -199,20 +205,31 @@ _NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
-def _decode_matrix(span: bytes, skeleton: bytes, out: np.ndarray) -> bool:
-    """Whether span, the text of one matrix, holds one number token in each
-    leaf slot of skeleton and those numbers are finite; if so they are read
-    into out, a C-contiguous complex array of the matrix's shape.  With its
-    brackets blanked, orjson reads the tokens as json would in the whole
-    document (``[re, im]`` pairs in reading order)."""
-    if span.translate(None, _NUMBER_BYTES) != skeleton:
-        return False
-    numbers = b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]"
-    try:
-        out.view(float).reshape(-1)[:] = orjson.loads(numbers)
-    except (orjson.JSONDecodeError, ValueError, OverflowError):
-        return False
-    return bool(np.isfinite(out).all())
+def _matrix_end(raw: bytes, begin: int, skeleton: bytes, guess: int) -> tuple[int, int]:
+    """The end of the matrix whose text starts at begin: just past the first
+    ``]]]`` from begin, provided that raw[begin:end] with its number bytes
+    and whitespace deleted is skeleton; -1 otherwise.  A positive guess is
+    the previous matrix's length: the search for ``]]]`` starts at
+    begin + guess less a slack of guess/16, and the span found stands only
+    if it passes the skeleton check; on a miss the search starts again at
+    begin.  Returns the end and the next matrix's guess: this span's length,
+    or -1, which stops guessing, after a miss or once stopped, so a file
+    pays for one wasted translate at most.  Guess 0 starts guessing.
+
+    A guessed span that passes the check ends where the search from begin
+    would end it.  Number bytes and whitespace hold no bracket, so deleting
+    them keeps each ``]]]`` of the span as a ``]]]`` of what is left, and
+    the skeleton holds ``]]]`` only at its end (its last row ends ``,]]]``);
+    so a span that passes holds no ``]]]`` before its last three bytes."""
+    if guess > 0:
+        end = raw.find(b"]]]", begin + guess - guess // 16) + 3
+        if end > begin and raw[begin:end].translate(None, _NUMBER_BYTES) == skeleton:
+            return end, end - begin
+        guess = -1
+    end = raw.find(b"]]]", begin) + 3
+    if end > begin and raw[begin:end].translate(None, _NUMBER_BYTES) == skeleton:
+        return end, end - begin if guess == 0 else -1
+    return -1, -1
 
 
 def _canonical_instance(raw: bytes) -> dict | None:
@@ -224,19 +241,32 @@ def _canonical_instance(raw: bytes) -> dict | None:
     Each basis matrix is the span up to its first ``]]]``, followed by a
     comma, or by the basis's ``]`` after the last; the symmetry_unitary is
     the span from the ``[`` after its key up to the next ``]]]``.  Each span
-    must pass ``_decode_matrix`` against the skeleton of n rows of n [re, im]
-    pairs.  json parses the rest of the text, each matrix replaced by [];
-    it must hold no backslash (an escaped key) and no second "basis" or
-    "symmetry_unitary" key, so that duplicate keys resolve as json resolves
-    them, and its top-level symmetry_unitary must be the [] put in."""
+    is found by ``_matrix_end``, from the previous span's length, and must
+    be the skeleton of n rows of n [re, im] pairs with one number token in
+    each leaf slot.  With its brackets blanked, orjson reads a span's tokens
+    as json would in the whole document, [re, im] pairs in reading order,
+    straight into the result; every number must be finite.  json parses the
+    rest of the text, each matrix replaced by []; it must hold no backslash
+    (an escaped key) and no second "basis" or "symmetry_unitary" key, so
+    that duplicate keys resolve as json resolves them, and its top-level
+    symmetry_unitary must be the [] put in."""
     head = _CANONICAL_HEAD.match(raw)
     if head is None:
         return None
     n = int(head[1])
-    spans, sep, end = [], b",", head.end() - 1
+    # each pair takes 5 bytes or more: no skeleton (4n² bytes or more) is
+    # sized by an ambient_dim the file cannot hold; the spans found are
+    # disjoint and each at least as long, so the result is at most 4 times
+    # the file's size
+    if 5 * n * n > len(raw):
+        return None
+    row = b"[" + b",".join([b"[,]"] * n) + b"]"
+    skeleton = b"[" + b",".join([row] * n) + b"]"
+    spans, sep, end, guess = [], b",", head.end() - 1, 0
     while sep == b",":
-        begin, end = end + 1, raw.find(b"]]]", end + 1) + 3
-        if end < begin:  # no "]]]" left
+        begin = end + 1
+        end, guess = _matrix_end(raw, begin, skeleton, guess)
+        if end < 0:
             return None
         spans.append((begin, end))
         sep = raw[end : end + 1]
@@ -244,16 +274,23 @@ def _canonical_instance(raw: bytes) -> dict | None:
     if sep != b"]" or sym is None:
         return None
     sym_begin = sym.end() - 1
-    sym_end = raw.find(b"]]]", sym_begin) + 3
-    spans.append((sym_begin, sym_end))
-    # each pair takes 5 bytes or more: nothing is sized by an ambient_dim or a
-    # basis the file cannot hold
-    if sym_end < sym_begin or 5 * n * n * len(spans) > len(raw):
+    sym_end, _ = _matrix_end(raw, sym_begin, skeleton, guess)
+    if sym_end < 0:
         return None
-    row = b"[" + b",".join([b"[,]"] * n) + b"]"
-    skeleton = b"[" + b",".join([row] * n) + b"]"
+    spans.append((sym_begin, sym_end))
     matrices = np.empty((len(spans), n, n), complex)
-    if not all(_decode_matrix(raw[b:e], skeleton, m) for (b, e), m in zip(spans, matrices)):
+    pairs = matrices.view(float).reshape(len(spans), -1)
+    for (b, e), out in zip(spans, pairs):
+        try:
+            numbers = orjson.loads(b"[" + raw[b:e].translate(_BRACKETS_TO_SPACES) + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        if len(numbers) != out.size:
+            return None
+        out[:] = np.fromiter(numbers, float, out.size)
+    # NaN propagates through min and max, which need no temporary of the
+    # basis's size
+    if not (math.isfinite(pairs.min()) and math.isfinite(pairs.max())):
         return None
     # [] is a whole value, as each matrix is, so the rest is valid JSON just
     # when raw is; 0 would not be (raw's "]e5" would read as 0e5)
@@ -508,7 +545,10 @@ def run_counterexample(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: parse_args keeps
+    no state in it, and every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="kreinalg",
         description="Verify finite-dimensional Krein C*-algebra constructions numerically.",

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, report files, determinism."""
 
 import contextlib
+import decimal
 import gc
 import json
 import math
@@ -43,6 +44,13 @@ def read_back(o):
     if isinstance(o, dict):
         return {k: read_back(v) for k, v in o.items()}
     return o
+
+
+def child_env(**variables):
+    """The environment of a child process that imports this kreinalg."""
+    src = str(Path(kreinalg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
 
 
 def write_instance(path, mutate=None):
@@ -120,13 +128,37 @@ def matrix_spans(text):
     return spans + [(begin, text.index(b"]]]", begin) + 3)]
 
 
+NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+def lengthened(span, rng):
+    """span, one matrix's text, with each number token spelled longer but
+    read by json as the same float: eight trailing zeros after the decimal
+    point (0.25 -> 0.2500000000), or the digits and six zeros as an integer
+    times a power of ten (-0.25 -> -25000000e-8, or -25000000E-8)."""
+
+    def respell(token):
+        value = decimal.Decimal(token[0].decode())
+        sign, digits, exponent = value.as_tuple()
+        style = rng.integers(3) if any(digits) else 0
+        if style == 0:
+            mantissa, e, power = token[0].partition(b"e")
+            return mantissa + b"." * (b"." not in mantissa) + b"0" * 8 + e + power
+        text = "-" * sign + "".join(map(str, digits)) + "000000" + "eE"[style - 1] + str(exponent - 6)
+        return text.encode()
+
+    longer = NUMBER.sub(respell, span)
+    assert json.loads(longer) == json.loads(span)
+    return longer
+
+
 def canonical_mutants(text, seed):
     """Seeded byte-level mutations of a canonical instance, by family: bytes
     deleted, doubled or replaced in and at both ends of each matrix (the
     basis matrices and the symmetry_unitary), and number text put right
     after one, ambient_dim values, duplicate and escaped keys, whitespace
     inside a matrix, leaves that are not numbers or are edge-case numbers,
-    and a fifth nesting level."""
+    a fifth nesting level, and matrices whose numbers are spelled longer."""
     rng = np.random.default_rng(seed)
     spans = matrix_spans(text)
     replacements = b'[],." -+eE09x\\\n'
@@ -192,6 +224,17 @@ def canonical_mutants(text, seed):
             text[: a - 1] + b"[" + text[a - 1 : end - 2] + b"]" + text[end - 2 :],  # a row's pairs
             text[:begin] + b"[" + text[begin:end] + b"]" + text[end:],  # a matrix
         ]
+    # the decoder guesses where each matrix ends from the length of the one
+    # before; each mutant spells one matrix 1/8 or more longer, so that it is
+    # longer than its guess and the next matrix shorter: basis[1] is shorter
+    # than its guess in the first mutant and longer in the second, and the
+    # symmetry_unitary likewise in the third and fourth
+    lengths = []
+    for i in (0, 1, len(spans) - 2, len(spans) - 1):
+        begin, end = spans[i]
+        longer = lengthened(text[begin:end], rng)
+        assert 8 * len(longer) >= 9 * (end - begin)
+        lengths.append(text[:begin] + longer + text[end:])
     return {
         "byte": byte,
         "ambient_dim": ambient_dim,
@@ -199,6 +242,7 @@ def canonical_mutants(text, seed):
         "whitespace": whitespace,
         "leaves": leaves,
         "nesting": nesting,
+        "lengths": lengths,
     }
 
 
@@ -365,16 +409,41 @@ class TestVerify:
         assert "algebra" in expected
         assert load_outcome(inst, monkeypatch, capsys) == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("points", [1, 2, 3, 8, 16, 24])
+    def test_decoded_matrices_are_the_tree_readers_bit_for_bit(self, tmp_path, points, seed):
+        """The span decoder reads gen's output to the tree reader's instance,
+        every matrix bit for bit; the indent=2 twin, which the decoder
+        declines, reads to the same instance through json."""
+        inst, twin = tmp_path / "gen.json", tmp_path / "indented.json"
+        main(["gen", "--points", str(points), "--conjugate", "--seed", str(seed), "--out", str(inst)])
+        tree = json_only_read(inst)
+        twin.write_text(json.dumps(tree, indent=2))
+        assert cli._canonical_instance(twin.read_bytes()) is None
+        assert cli._read_instance(twin) == tree
+        decoded = cli._canonical_instance(inst.read_bytes())
+        basis, unitary = decoded.pop("basis"), decoded.pop("symmetry_unitary")
+        expected = [finite_krein._matrix_from_json(m, "basis") for m in tree.pop("basis")]
+        assert basis.tobytes() == np.array(expected).tobytes()
+        expected = finite_krein._matrix_from_json(tree.pop("symmetry_unitary"), "symmetry_unitary")
+        assert unitary.tobytes() == expected.tobytes()
+        assert decoded == tree
+
     @pytest.mark.parametrize("points", [2, 3])
-    @pytest.mark.parametrize("family", ["byte", "ambient_dim", "keys", "whitespace", "leaves", "nesting"])
+    @pytest.mark.parametrize(
+        "family", ["byte", "ambient_dim", "keys", "whitespace", "leaves", "nesting", "lengths"]
+    )
     def test_span_decoder_agrees_with_the_tree_reader(self, tmp_path, monkeypatch, capsys, points, family):
         """Mutants of a canonical instance give verify the same exit code,
-        output and report bytes as with the span decoder declining."""
+        output and report bytes as with the span decoder declining.  The
+        decoder reads every lengths mutant, whether the guessed end of a
+        matrix holds or misses."""
         inst, report = tmp_path / "mutant.json", tmp_path / "report.json"
         main(["gen", "--points", str(points), "--conjugate", "--seed", "3", "--out", str(inst)])
-        decode = cli._canonical_instance
-        decoded = []
+        decode, matrix_end = cli._canonical_instance, cli._matrix_end
+        decoded, ends = [], []
         monkeypatch.setattr(cli, "_canonical_instance", lambda raw: decoded.append(decode(raw)) or decoded[-1])
+        monkeypatch.setattr(cli, "_matrix_end", lambda *a: ends.append(matrix_end(*a)) or ends[-1])
         capsys.readouterr()
 
         def outcome():
@@ -384,15 +453,23 @@ class TestVerify:
             out = capsys.readouterr()
             return code, out.out, out.err, report.read_bytes() if report.exists() else None
 
-        mutants = canonical_mutants(inst.read_bytes(), seed=points)[family]
+        mutants, guesses = canonical_mutants(inst.read_bytes(), seed=points)[family], []
         for text in mutants:
             inst.write_bytes(text)
+            ends.clear()
             got = outcome()
+            guesses.append([guess for _, guess in ends])
             with monkeypatch.context() as m:
                 m.setattr(cli, "_canonical_instance", lambda raw: None)
                 assert outcome() == got, text
         # the decoder accepts some mutants of these families
         assert any(d is not None for d in decoded) == (family not in ("ambient_dim", "nesting"))
+        if family == "lengths":
+            assert len(decoded) == len(mutants) and all(d is not None for d in decoded)
+            # the guess misses the matrix after each longer one, and the
+            # symmetry_unitary comes last; after a miss nothing is guessed
+            assert [-1 in g for g in guesses] == [True, True, True, False]
+            assert all(set(g[g.index(-1) :]) == {-1} for g in guesses if -1 in g)
 
     @pytest.mark.parametrize(
         "value",
@@ -533,11 +610,9 @@ class TestVerify:
             '{"kind": "function_algebra", "points": 2, "s": "' + "]}" * depth
             + '", "x": ' + '{"a": ' * depth + "1" + "}" * depth + "}"
         )
-        src = str(Path(kreinalg.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "kreinalg.cli", "verify", "--input", str(inst)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: invalid JSON: nested too deep to parse\n"
@@ -1066,6 +1141,33 @@ class TestParser:
             main(["verify"])
         assert err.value.code == 2
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """build_parser builds the parser once per process.  Two argvs run in
+        this process give the exit codes, stdout and report bytes each gives
+        alone in a process of its own, and a rejected flag still exits 2."""
+        assert cli.build_parser() is cli.build_parser()
+        inst = tmp_path / "rot.json"
+        assert main(["gen", "--points", "2", "--conjugate", "--out", str(inst)]) == 0
+        argvs = [
+            ["verify", "--input", str(inst), "--tol", "1e-7", "--seed", "9", "--report", str(tmp_path / "v")],
+            ["spectrum", "--input", str(inst), "--report", str(tmp_path / "s")],
+        ]
+        alone = []
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kreinalg.cli", *argv],
+                capture_output=True, text=True, env=child_env(), timeout=120,
+            )
+            alone.append((proc.returncode, proc.stdout, Path(argv[-1]).read_bytes()))
+        capsys.readouterr()
+        for argv, expected in zip(argvs + argvs, alone + alone):
+            Path(argv[-1]).unlink()
+            code = main(argv)
+            assert (code, capsys.readouterr().out, Path(argv[-1]).read_bytes()) == expected
+        with pytest.raises(SystemExit) as err:
+            main(argvs[0] + ["--bogus"])
+        assert err.value.code == 2
+
     def test_flags_left_out_take_the_run_config_defaults(self):
         def parse(*argv):
             return cli.config_from_args(cli.build_parser().parse_args(argv))
@@ -1184,11 +1286,9 @@ assert kreinalg.cli.main(["gen", "--points", "2", "--conjugate", "--out", inst])
 assert kreinalg.cli.main(["spectrum", "--input", inst, "--report", report]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    src = str(Path(kreinalg.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "rot2.json"), str(tmp_path / "report.json")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
@@ -1202,20 +1302,14 @@ def test_verdicts_do_not_depend_on_the_blas_thread_count(tmp_path):
     residuals agree to 1e-6 relative, with a floor of 1e-3 tol."""
     inst = tmp_path / "rotated48.json"
     assert main(["gen", "--points", "48", "--conjugate", "--seed", "3", "--out", str(inst)]) == 0
-    src = str(Path(kreinalg.__file__).resolve().parent.parent)
     floor = 1e-3 * finite_krein.DEFAULT_TOL
     for command in ("verify", "spectrum"):
         runs = []
         for threads in ("1", "2"):
             report = tmp_path / f"{command}{threads}.json"
-            env = dict(
-                os.environ,
-                OPENBLAS_NUM_THREADS=threads,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            )
             proc = subprocess.run(
                 [sys.executable, "-m", "kreinalg.cli", command, "--input", str(inst), "--report", str(report)],
-                capture_output=True, text=True, env=env, timeout=300,
+                capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads), timeout=300,
             )
             runs.append((proc.returncode, json.loads(report.read_text())))
         (code1, one), (code2, two) = runs

@@ -9,7 +9,10 @@ variables as set, and the wall time and peak RSS of
 ``gen --points N --conjugate``, ``verify`` and ``spectrum`` on the rotated
 instance of each N (default 64 and 96).  Each command runs in its own
 process, through ``tools/peak_rss.py``, so each peak is that command's
-alone.  The instance files go to a temporary directory.
+alone.  The instance files go to a temporary directory.  Before those
+commands, ``perfbench/run.py --workload all --seed 1 --seconds 10 --trace 0``
+runs unmodified from the repository root, under this interpreter, and the
+summary it prints as its last line is recorded under ``perfbench``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ TOOLS = Path(__file__).resolve().parent
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # what tools/peak_rss.py prints to stderr after each command
 LINE = re.compile(r"(\w+): exit (\d+), ([\d.]+) s, peak RSS (\d+) MB")
+PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "10", "--trace", "0"]
 
 
 def revision() -> str | None:
@@ -55,12 +59,22 @@ def measure(argv: str) -> dict:
     return {"exit": int(found[2]), "wall_s": float(found[3]), "peak_rss_mb": int(found[4])}
 
 
+def perfbench() -> dict:
+    """The summary perfbench/run.py prints as its last line: whether every
+    op was correct, the op counts and each workload's end-to-end metrics."""
+    proc = subprocess.run([sys.executable, *PERFBENCH], cwd=TOOLS.parent, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench/run.py exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
 def main(args: list[str]) -> int:
     if not args or not args[0].isdigit():
         print(__doc__, file=sys.stderr)
         return 2
     pr, sizes = int(args[0]), [int(n) for n in args[1:]] or [64, 96]
-    runs = []
+    summary, runs = perfbench(), []
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
             path = Path(tmp) / f"rotated{n}.json"
@@ -81,9 +95,10 @@ def main(args: list[str]) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARIABLES},
         "runs": runs,
+        "perfbench": summary,
     }
     Path(f"BENCH_{pr}.json").write_text(json.dumps(record, indent=2) + "\n")
-    return 0 if all(r["exit"] == 0 for r in runs) else 1
+    return 0 if summary["correct"] and all(r["exit"] == 0 for r in runs) else 1
 
 
 if __name__ == "__main__":
