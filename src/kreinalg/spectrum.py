@@ -102,15 +102,6 @@ class EvenCharacter:
         c = self.algebra.even_basis.conj().T @ np.asarray(coords, dtype=complex)
         return complex(self.values @ c)
 
-    def sort_key(self) -> tuple:
-        # keyed on the values on the algebra's own basis: even_basis is an
-        # arbitrary orthonormal basis of a degenerate singular subspace, so
-        # ``values`` may change under roundoff where these do not
-        key = []
-        for v in np.round(self.values @ self.algebra.even_basis.conj().T, 9):
-            key.extend((float(v.real) + 0.0, float(v.imag) + 0.0))
-        return tuple(key)
-
 
 def even_characters(
     algebra: KreinAlgebra,
@@ -130,8 +121,9 @@ def even_characters(
     w(y) w(e_j) on the even basis e_j to ``tol``, which accepts the
     characters.  Otherwise the next combination is tried, and after
     ``retries`` attempts a ClusteringAmbiguityError is raised.  The result is
-    sorted lexicographically by value tuple and its length always equals the
-    even dimension.  O(d^3): one multiplication matrix per element.
+    sorted lexicographically by the values on the algebra's basis, rounded to
+    9 decimals, and its length always equals the even dimension.  O(d^3):
+    one multiplication matrix per element.
     """
     eb, norm = algebra.even_basis, np.linalg.norm
     m = eb.shape[1]
@@ -157,9 +149,12 @@ def even_characters(
         gaps = norm(W @ Y - wy[:, None] * W, axis=0)
         resid = _relative(gaps, norm(W) * norm(Y, axis=0) + norm(wy) * norm(W, axis=0))
         if resid <= tol:
-            chars = [EvenCharacter(algebra, w) for w in W]
-            chars.sort(key=EvenCharacter.sort_key)
-            return chars
+            # keyed on the values on the algebra's own basis: even_basis is an
+            # arbitrary orthonormal basis of a degenerate singular subspace, so
+            # W may change under roundoff where these do not.  Row c of keys
+            # is (re, im) of each value in turn; lexsort's primary key is last
+            keys = np.round(W @ eb.conj().T, 9).view(float)
+            return [EvenCharacter(algebra, w) for w in W[np.lexsort(keys.T[::-1])]]
         X = restricted(rng.standard_normal(m))
     raise ClusteringAmbiguityError(
         "no combination of the even basis separated the characters "
@@ -377,13 +372,8 @@ class SpectralReport:
             "transform_rank": int(self.transform_rank),
             "condition_number": float(self.condition_number),
             "passed": bool(self.passed),
-            "characters": [
-                {
-                    "even": cls.even_rep.to_json_list(),
-                    "partner": cls.partner.to_json_list(),
-                }
-                for cls in self.classes
-            ],
+            # a class's partner is its even representative with b negated
+            "characters": [{"even": cls.even_rep.to_json_list()} for cls in self.classes],
         }
 
 

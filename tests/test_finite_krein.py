@@ -36,6 +36,8 @@ from kreinalg import (
     check_krein_identity,
     check_odd_symmetry,
     conjugate_algebra,
+    dagger,
+    decompose,
     even_characters,
     function_algebra_instance,
     k_norm,
@@ -44,7 +46,7 @@ from kreinalg import (
     random_unitary,
     verify_spectral_theorem,
 )
-from kreinalg import finite_krein, spectrum
+from kreinalg import finite_krein, kalgebra, spectrum
 from kreinalg.cli import main
 from kreinalg.finite_krein import (
     DEFAULT_TOL,
@@ -980,13 +982,132 @@ def test_old_positional_samples_argument_is_refused(fn3, check):
 
 
 
-@pytest.mark.parametrize("module", [finite_krein, spectrum], ids=["finite_krein", "spectrum"])
+@pytest.mark.parametrize(
+    "module", [finite_krein, spectrum, kalgebra], ids=["finite_krein", "spectrum", "kalgebra"]
+)
 def test_public_names_resolve_and_are_reexported(module):
     # the benchmark's tracer binds some of these names by attribute lookup; the
     # private tables, such as _IMPLIED, stay out
     for name in module.__all__:
         assert not name.startswith("_"), name
         assert getattr(kreinalg, name) is getattr(module, name), name
+
+
+def instance_with(alg, **fields):
+    return algebra_from_instance_dict({**algebra_to_instance_dict(alg), **fields})
+
+
+@pytest.mark.parametrize(
+    "call, error, field, message",
+    [
+        (lambda a: a.element(np.zeros(3)), ValueError, None, "expected 4 coordinates, got (3,)"),
+        (
+            lambda a: KreinAlgebra(a.basis[:0], a.symmetry_unitary),
+            AlgebraValidationError,
+            None,
+            "basis must have shape (d, n, n), got (0, 4, 4)",
+        ),
+        (
+            lambda a: KreinAlgebra(a.basis[:, :, :3], a.symmetry_unitary),
+            AlgebraValidationError,
+            None,
+            "basis must have shape (d, n, n), got (4, 4, 3)",
+        ),
+        (
+            lambda a: KreinAlgebra(a.basis, a.symmetry_unitary[:3]),
+            AlgebraValidationError,
+            None,
+            "symmetry_unitary must be 4 x 4, got (3, 4)",
+        ),
+        (
+            lambda a: KreinAlgebra(a.basis, a.symmetry_unitary, odd_generator=np.ones(3)),
+            AlgebraValidationError,
+            None,
+            "odd_generator needs 4 coordinates, got (3,)",
+        ),
+        (
+            # the matrix units of M_2 with trivial grading
+            lambda a: KreinAlgebra(np.eye(4).reshape(4, 2, 2), np.eye(2)).random_odd_element(
+                np.random.default_rng(0)
+            ),
+            NotOddElementError,
+            None,
+            "algebra has trivial odd part",
+        ),
+        (
+            lambda a: conjugate_algebra(a, np.eye(3)),
+            AlgebraValidationError,
+            None,
+            "conjugating unitary must be 4 x 4",
+        ),
+        (lambda a: algebra_from_instance_dict([]), InstanceFormatError, "", "instance must be a JSON object"),
+        (
+            lambda a: instance_with(a, basis=[[]]),
+            InstanceFormatError,
+            "basis[0]",
+            "basis[0]: expected a non-empty list of rows",
+        ),
+        (
+            lambda a: instance_with(a, symmetry_unitary="x"),
+            InstanceFormatError,
+            "symmetry_unitary",
+            "symmetry_unitary: expected a non-empty list of rows",
+        ),
+        (
+            lambda a: instance_with(a, symmetry_unitary=[[[1.0, 0.0]]]),
+            InstanceFormatError,
+            "symmetry_unitary",
+            "symmetry_unitary: matrix must be 4 x 4, got (1, 1)",
+        ),
+        (
+            lambda a: instance_with(a, odd_generator=[]),
+            InstanceFormatError,
+            "odd_generator",
+            "odd_generator: expected a non-empty coordinate list",
+        ),
+    ],
+    ids=[
+        "coordinate-count",
+        "empty-basis",
+        "non-square-basis",
+        "unitary-shape",
+        "generator-length",
+        "trivial-odd-part",
+        "conjugating-unitary-shape",
+        "instance-not-an-object",
+        "empty-matrix",
+        "unitary-not-a-list",
+        "instance-unitary-shape",
+        "empty-generator",
+    ],
+)
+def test_each_validation_refuses_its_input(call, error, field, message):
+    """Every argument check of construction, elements and the instance
+    reader raises its own error type, naming what it refuses."""
+    with pytest.raises(error) as err:
+        call(build_function_algebra(2))
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "field", None) == field
+
+
+@pytest.mark.parametrize("foreign", [False, True], ids=["own", "foreign"])
+def test_dagger_and_decompose_are_the_ambient_adjoint_and_halves(conj3, foreign):
+    """dagger(x) is x's ambient adjoint and decompose(x) is (x +- U x U) / 2.
+    An element of another algebra object is read through its matrix: in the
+    same span it gives the same result, and outside it a SpanError."""
+    x = conj3.random_element(np.random.default_rng(4))
+    X, U = x.matrix(), conj3.symmetry_unitary
+    arg = KreinAlgebra(conj3.basis, U).element(x.coords) if foreign else x
+    even, odd = decompose(conj3, arg)
+    for got, expected in ((dagger(conj3, arg), X.conj().T), (even, (X + U @ X @ U) / 2), (odd, (X - U @ X @ U) / 2)):
+        assert got.algebra is conj3
+        np.testing.assert_allclose(got.matrix(), expected, rtol=0, atol=1e-12 * np.linalg.norm(X))
+    if foreign:
+        stray = conjugate_algebra(conj3, random_unitary(conj3.ambient_dim, np.random.default_rng(5)))
+        for call in (dagger, decompose):
+            with pytest.raises(SpanError, match="matrix is not in the basis span"):
+                call(conj3, stray.element(x.coords))
 
 
 class TestQuotients:

@@ -126,13 +126,16 @@ class TestEvenCharacters:
     @pytest.mark.parametrize("name", ["fn3", "conj3"])
     def test_order_does_not_depend_on_even_basis(self, name, request):
         # even_basis is one orthonormal basis of a degenerate subspace; any
-        # other must give the same characters in the same order
+        # other must give the same characters in the same order, which is
+        # lexicographic in (re, im) of the values rounded to 9 decimals
         alg = request.getfixturevalue(name)
 
         def full_values(a):
             return np.array([om.values @ a.even_basis.conj().T for om in even_characters(a)])
 
         want = full_values(alg)
+        keys = [tuple(row) for row in np.round(want, 9).view(float)]
+        assert keys == sorted(keys)
         rng = np.random.default_rng(3)
         for _ in range(10):
             turned = copy.copy(alg)
@@ -154,10 +157,25 @@ class TestExtension:
             v = w(x)
             assert abs(v.a - x.coords[0]) + abs(v.b - x.coords[1]) <= 1e-10
 
-    def test_requires_generator(self, no_generator_algebra):
+    EXTENDS = "algebra has no odd generator; even characters cannot be extended"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda alg, om: extend_character(alg, om), EXTENDS),
+            (lambda alg, om: spectrum_classes(alg), EXTENDS),
+            (
+                lambda alg, om: evenness_residual(Character(alg, np.zeros(alg.dim), np.zeros(alg.dim))),
+                "algebra has no odd generator",
+            ),
+        ],
+        ids=["extend_character", "spectrum_classes", "evenness_residual"],
+    )
+    def test_requires_generator(self, no_generator_algebra, call, message):
         om = even_characters(no_generator_algebra)[0]
-        with pytest.raises(MissingOddGeneratorError):
-            extend_character(no_generator_algebra, om)
+        with pytest.raises(MissingOddGeneratorError) as err:
+            call(no_generator_algebra, om)
+        assert str(err.value) == message
 
     def test_residuals_small(self, fn3, conj3):
         for alg in (fn3, conj3):
