@@ -56,15 +56,12 @@ from .finite_krein import (
     DEFAULT_TOL,
     KreinAlgebra,
     algebra_from_instance_dict,
-    check_commutative_symmetric,
-    check_odd_symmetry,
     function_algebra_instance,
     random_unitary,
     _conjugated,
-    _fullness_margin,
     _function_algebra_arrays,
-    _implied_rows,
     _matrix_instance,
+    _verify_rows,
 )
 from .spectrum import ClusteringAmbiguityError, NotCommutativeError
 from .spectrum import SpectralHypothesisError, verify_spectral_theorem
@@ -171,16 +168,15 @@ def _read_bytes(path: Path) -> bytes:
         raise InstanceFormatError(f"cannot read input: {exc}") from exc
 
 
-def _parse_json(path: Path):
-    """The JSON document in path, parsed whole by json, so that every error,
-    and every value, is json's.  The text goes through read_text, whose
-    universal newlines set the line numbers in json's messages.  An integer
-    longer than int's digit limit, which json refuses to convert, is an
-    InstanceFormatError like any other."""
+def _parse_json(raw: bytes):
+    """The JSON document in raw, parsed whole by json, so that every error,
+    and every value, is json's.  raw is decoded as UTF-8, its CRLF and CR
+    line ends turned into LF as read_text's universal newlines turn them, so
+    the line numbers in json's messages are the ones read_text would give.
+    An integer longer than int's digit limit, which json refuses to convert,
+    is an InstanceFormatError like any other."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read input: {exc}") from exc
+        return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -320,8 +316,9 @@ def _canonical_instance(raw: bytes) -> dict | None:
 def _read_instance(path: Path):
     """The instance file parsed, its matrices decoded by _canonical_instance
     when the file is canonical, else the tree _parse_json reads."""
-    data = _canonical_instance(_read_bytes(path))
-    return _parse_json(path) if data is None else data
+    raw = _read_bytes(path)
+    data = _canonical_instance(raw)
+    return _parse_json(raw) if data is None else data
 
 
 def _load_algebra(cfg: RunConfig) -> KreinAlgebra:
@@ -350,81 +347,42 @@ def _print_checks(checks: list[CheckResult]) -> None:
         print(f"  {c.name:<{width}}{status}   max residual {c.max_residual:.3e}{extra}")
 
 
-def run_verify(cfg: RunConfig) -> int:
-    """Axiom checks for one instance; exit 1 if a check fails, 2 on bad input."""
+def _loaded(cfg: RunConfig) -> KreinAlgebra | None:
+    """The instance's algebra, or None with the error printed."""
     try:
-        algebra = _load_algebra(cfg)
+        return _load_algebra(cfg)
     except (InstanceFormatError, AlgebraValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return None
 
-    tol = cfg.tol
-    construction = max(
-        v for k, v in algebra.validation_residuals.items() if k != "basis_independence"
-    )
-    checks = [
-        CheckResult("construction", construction <= tol, construction),
-        *_implied_rows(algebra, tol),
-    ]
 
-    # smaller is worse: sigma_min / sigma_max of x -> g x on the even part
-    margin = _fullness_margin(algebra)
-    dim_even = algebra.even_basis.shape[1]
-    checks.append(CheckResult("fullness", margin > tol, margin, detail=f"even dim {dim_even}"))
-
-    # one flag is the verdict on both conditions, which are equivalent; the
-    # row is informational, so it passes whatever the flag reads
-    cs = check_commutative_symmetric(algebra, tol)
-    checks.append(
-        CheckResult(
-            "commutative_symmetric",
-            True,
-            cs.commutator_residual,
-            detail=f"commutative={cs.commutative}",
-        )
-    )
-
-    ov = check_odd_symmetry(algebra, tol=tol)
-    if ov.absent:
-        checks.append(
-            CheckResult(
-                "odd_symmetry", True, 0.0, detail="odd generator absent; existence unknown"
-            )
-        )
-    else:
-        detail = "; ".join(ov.failures) if ov.failures else None
-        checks.append(
-            CheckResult(
-                "odd_symmetry",
-                bool(ov.exists and ov.isometric),
-                ov.max_residual,
-                detail=detail,
-            )
-        )
-
-    passed = all(c.passed for c in checks)
-    print(f"verify: {cfg.input_path}")
+def _report(cfg: RunConfig, checks: list[CheckResult], data: dict, verdict: str, *lines: str) -> int:
+    """Print the header, any extra lines, the checks and the verdict, or
+    CHECKS FAILED when data["passed"] is false; write data with the command
+    and tol as the report; return the exit code."""
+    print(f"{cfg.command}: {cfg.input_path}", *lines, sep="\n")
     _print_checks(checks)
-    print("all checks passed" if passed else "CHECKS FAILED")
-    report = {
-        "command": "verify",
-        "tol": tol,
-        "checks": [c.to_dict() for c in checks],
-        "passed": passed,
-    }
-    if not _dump_json(report, cfg.output_path):
+    print(verdict if data["passed"] else "CHECKS FAILED")
+    if not _dump_json(dict(data, command=cfg.command, tol=cfg.tol), cfg.output_path):
         return EXIT_BAD_INPUT
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return EXIT_OK if data["passed"] else EXIT_CHECK_FAILED
+
+
+def run_verify(cfg: RunConfig) -> int:
+    """Axiom checks for one instance; exit 1 if a check fails, 2 on bad input."""
+    algebra = _loaded(cfg)
+    if algebra is None:
+        return EXIT_BAD_INPUT
+    checks = _verify_rows(algebra, cfg.tol)
+    data = {"checks": [c.to_dict() for c in checks], "passed": all(c.passed for c in checks)}
+    return _report(cfg, checks, data, "all checks passed")
 
 
 def run_spectrum(cfg: RunConfig) -> int:
     """Spectral-theorem suite; exit 3 on a failed hypothesis, 1 on a failed check or finder."""
-    try:
-        algebra = _load_algebra(cfg)
-    except (InstanceFormatError, AlgebraValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    algebra = _loaded(cfg)
+    if algebra is None:
         return EXIT_BAD_INPUT
-
     try:
         report = verify_spectral_theorem(algebra, seed=cfg.seed, tol=cfg.tol)
     except (SpectralHypothesisError, ClusteringAmbiguityError, NotCommutativeError) as exc:
@@ -436,16 +394,8 @@ def run_spectrum(cfg: RunConfig) -> int:
             return EXIT_BAD_INPUT
         return EXIT_HYPOTHESIS if hypothesis else EXIT_CHECK_FAILED
 
-    print(f"spectrum: {cfg.input_path}")
-    print(f"  spectrum size {report.spectrum_size}, transform rank {report.transform_rank}")
-    _print_checks(report.checks)
-    print("spectral theorem verified" if report.passed else "CHECKS FAILED")
-    data = report.to_dict()
-    data["command"] = "spectrum"
-    data["tol"] = cfg.tol
-    if not _dump_json(data, cfg.output_path):
-        return EXIT_BAD_INPUT
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    size = f"  spectrum size {report.spectrum_size}, transform rank {report.transform_rank}"
+    return _report(cfg, report.checks, report.to_dict(), "spectral theorem verified", size)
 
 
 def run_gen(cfg: RunConfig) -> int:
@@ -489,6 +439,7 @@ def run_counterexample(cfg: RunConfig) -> int:
         for sign in (1, -1):
             alg = kalgebra.DeformedAlgebra(theta, sign)
             verdict = kalgebra.deformed_check(alg, cfg.samples, cfg.seed)
+            ratio = float("nan")
             cell = {
                 "theta_index": j,
                 "theta": theta,
@@ -499,35 +450,34 @@ def run_counterexample(cfg: RunConfig) -> int:
             }
             if verdict.witness is not None:
                 wit = verdict.witness
+                ratio = wit.lhs / wit.rhs if wit.rhs else float("inf")
                 cell["witness"] = {
                     "check": wit.check,
                     "x": [[wit.x[0].real, wit.x[0].imag], [wit.x[1].real, wit.x[1].imag]],
                     "y": [[wit.y[0].real, wit.y[0].imag], [wit.y[1].real, wit.y[1].imag]],
                     "lhs": wit.lhs,
                     "rhs": wit.rhs,
-                    "ratio": wit.lhs / wit.rhs if wit.rhs else float("inf"),
+                    "ratio": ratio,
                 }
             cells.append(cell)
             if verdict.is_banach and verdict.is_krein:
                 passing.append((j, sign))
             if j == cfg.grid // 2:
-                pi_cells.append((sign, verdict))
+                pi_cells.append((sign, verdict, ratio))
 
     unique_pass = passing == [(0, -1)]
     pi_flagged = all(
         not v.is_banach
         and v.witness is not None
         and v.witness.check == "submultiplicative"
-        and abs(v.witness.lhs / v.witness.rhs - math.sqrt(2.0)) <= 1e-9
-        for _, v in pi_cells
+        and abs(ratio - math.sqrt(2.0)) <= 1e-9
+        for _, v, ratio in pi_cells
     )
     ok = unique_pass and pi_flagged
 
     print(f"counterexample sweep: {cfg.grid} theta points x 2 signs")
     print(f"  cells passing Banach and Krein checks: {passing}")
-    for sign, v in pi_cells:
-        w = v.witness
-        ratio = w.lhs / w.rhs if w is not None and w.rhs else float("nan")
+    for sign, v, ratio in pi_cells:
         print(
             f"  theta=pi sign={sign:+d}: is_banach={v.is_banach}, "
             f"witness ratio {ratio:.12f} (expected sqrt(2) = {math.sqrt(2):.12f})"
@@ -560,7 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=RunConfig.tol, help="residual tolerance")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=RunConfig.tol,
+            help="residual tolerance (counterexample accepts it and keeps its own 1e-12)",
+        )
         p.add_argument("--seed", type=int, default=RunConfig.seed, help="RNG seed")
         p.add_argument(
             "--samples",

@@ -605,6 +605,19 @@ class TestVerify:
         assert reads == [([], 1, False), (matrices if conjugate else [], 1, False)]
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
+    def test_a_declined_file_is_read_once(self, tmp_path, monkeypatch):
+        """An indented instance, which the canonical decoder declines, is
+        parsed from the bytes already read: the file is not opened again."""
+        inst, twin = tmp_path / "gen.json", tmp_path / "indented.json"
+        assert main(["gen", "--points", "2", "--conjugate", "--out", str(inst)]) == 0
+        twin.write_text(json.dumps(json.loads(inst.read_text()), indent=2))
+
+        def refuse(path, *args, **kwargs):
+            raise AssertionError(f"{path} read a second time")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["verify", "--input", str(twin)]) == 0
+
     @pytest.mark.parametrize("points", [1, 3])
     def test_orjson_reads_only_flat_lists_of_numbers(self, tmp_path, monkeypatch, points):
         """orjson parses no document: every text it is given, on gen's output,
@@ -867,6 +880,27 @@ SPECTRUM_CHECKS = [
 ]
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize(
+    "case", ["m2", "nonfull", "broken_generator", "no_generator", "rotated1", "rotated2", "rotated8"]
+)
+def test_verify_reports_the_library_rows(tmp_path, request, case, tol):
+    """verify's checks are finite_krein._verify_rows of the algebra the file
+    holds, row for row: name, passed, detail and every residual's bits.  The
+    m2 fixture is M_2 with U = I."""
+    if case.startswith("rotated"):
+        base = build_function_algebra(int(case.removeprefix("rotated")))
+        alg = conjugate_algebra(base, random_unitary(base.ambient_dim, np.random.default_rng(1)))
+    else:
+        alg = request.getfixturevalue(f"{case}_algebra")
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    inst.write_bytes(orjson.dumps(algebra_to_instance_dict(alg), option=cli._OPT))
+    main(["verify", "--input", str(inst), "--tol", repr(tol), "--report", str(report)])
+    loaded = finite_krein.algebra_from_instance_dict(json.loads(inst.read_text()), tol=tol)
+    rows = [r.to_dict() for r in finite_krein._verify_rows(loaded, tol)]
+    assert read_back(rows) == read_back(json.loads(report.read_text())["checks"])
+
+
 class TestReportStructure:
     @pytest.mark.parametrize(
         "command, keys, names",
@@ -951,7 +985,7 @@ class TestGen:
         text = out.read_bytes()
         assert text == orjson.dumps(data, option=cli._OPT) + b"\n"
         assert read_back(json.loads(text)) == read_back(data)
-        assert read_back(cli._parse_json(out)) == read_back(data)
+        assert read_back(cli._parse_json(out.read_bytes())) == read_back(data)
         if conjugate:  # the canonical decoder reads the same matrices
             decoded = cli._canonical_instance(text)
             for key in ("basis", "symmetry_unitary"):
@@ -1018,6 +1052,16 @@ class TestCounterexample:
             assert not cell["is_banach"]
             ratio = cell["witness"]["lhs"] / cell["witness"]["rhs"]
             assert ratio == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+    def test_tol_is_not_read(self, tmp_path, capsys):
+        """deformed_check tests at its own 1e-12, so --tol changes neither
+        the report nor stdout."""
+        runs = []
+        for tol in ("1e-3", "1e-9", "1e-12"):
+            report = tmp_path / f"cells-{tol}.json"
+            assert main(["counterexample", "--grid", "8", "--tol", tol, "--report", str(report)]) == 0
+            runs.append((report.read_bytes(), capsys.readouterr()))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_odd_grid_rejected(self, capsys):
         assert main(["counterexample", "--grid", "7"]) == 2
