@@ -384,7 +384,7 @@ def run_spectrum(cfg: RunConfig) -> int:
     if algebra is None:
         return EXIT_BAD_INPUT
     try:
-        report = verify_spectral_theorem(algebra, seed=cfg.seed, tol=cfg.tol)
+        report = verify_spectral_theorem(algebra, tol=cfg.tol)
     except (SpectralHypothesisError, ClusteringAmbiguityError, NotCommutativeError) as exc:
         hypothesis = isinstance(exc, SpectralHypothesisError)
         print(f"hypothesis failure: {exc}" if hypothesis else f"error: {exc}", file=sys.stderr)
@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=RunConfig.tol,
             help="residual tolerance (counterexample accepts it and keeps its own 1e-12)",
         )
-        p.add_argument("--seed", type=int, default=RunConfig.seed, help="RNG seed")
+        p.add_argument("--seed", type=int, default=RunConfig.seed, help="seeds gen and counterexample")
         p.add_argument(
             "--samples",
             type=int,

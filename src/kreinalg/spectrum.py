@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 CHARACTER_TOL = 1e-8
+# one fixed stream for the character finder: every entry point finds the same characters
+_FINDER_SEED = 42
+_FINDER_ATTEMPTS = 5
 
 
 class NotCommutativeError(ValueError):
@@ -103,12 +106,7 @@ class EvenCharacter:
         return complex(self.values @ c)
 
 
-def even_characters(
-    algebra: KreinAlgebra,
-    seed: int = 7,
-    tol: float = CHARACTER_TOL,
-    retries: int = 5,
-) -> list[EvenCharacter]:
+def even_characters(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> list[EvenCharacter]:
     """All characters of the (commutative) even part, one per minimal projection.
 
     Left multiplication by a random real combination x of the even basis,
@@ -120,10 +118,12 @@ def even_characters(
     of its terms: x y = y x (else NotCommutativeError), and w(y e_j) =
     w(y) w(e_j) on the even basis e_j to ``tol``, which accepts the
     characters.  Otherwise the next combination is tried, and after
-    ``retries`` attempts a ClusteringAmbiguityError is raised.  The result is
-    sorted lexicographically by the values on the algebra's basis, rounded to
-    9 decimals, and its length always equals the even dimension.  O(d^3):
-    one multiplication matrix per element.
+    ``_FINDER_ATTEMPTS`` attempts a ClusteringAmbiguityError is raised.  The
+    combinations come from the fixed ``_FINDER_SEED``, so the result depends
+    on the algebra and ``tol`` alone.  It is sorted lexicographically by the
+    values on the algebra's basis, rounded to 9 decimals, and its length
+    always equals the even dimension.  O(d^3): one multiplication matrix per
+    element.
     """
     eb, norm = algebra.even_basis, np.linalg.norm
     m = eb.shape[1]
@@ -132,7 +132,7 @@ def even_characters(
         # v -> z v on the even part for z = eb @ c; [a, j]: coordinate a of z e_j
         return eb.conj().T @ (algebra._left_matrices(eb @ c).T @ eb)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FINDER_SEED)
     x, y = rng.standard_normal(m), eb.conj().T @ algebra._slot
     X, Y = restricted(x), restricted(y)
     # each gap is relative to the bounds ||M|| ||v|| of its terms M v
@@ -141,7 +141,7 @@ def even_characters(
         raise NotCommutativeError(f"even part is not commutative (residual {comm:.3e})")
 
     unit, resid = eb.conj().T @ algebra.unit_coords, float("nan")
-    for _ in range(retries):
+    for _ in range(_FINDER_ATTEMPTS):
         W = np.linalg.inv(np.linalg.eig(X)[1])
         W = W / (W @ unit)[:, None]
         wy = W @ y
@@ -293,12 +293,10 @@ class SpectrumClass:
     partner: Character
 
 
-def spectrum_classes(
-    algebra: KreinAlgebra, seed: int = 7, tol: float = CHARACTER_TOL
-) -> list[SpectrumClass]:
+def spectrum_classes(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> list[SpectrumClass]:
     """All character classes, ordered by the even-part value tuples; every
     even character is extended by one product (see ``extend_character``)."""
-    omegas = even_characters(algebra, seed=seed, tol=tol)
+    omegas = even_characters(algebra, tol=tol)
     A, B = _extend(algebra, np.array([om.values for om in omegas]))
     classes = []
     for a_vals, b_vals in zip(A, B):
@@ -377,9 +375,7 @@ class SpectralReport:
         }
 
 
-def verify_spectral_theorem(
-    algebra: KreinAlgebra, *, seed: int = 42, tol: float = DEFAULT_TOL
-) -> SpectralReport:
+def verify_spectral_theorem(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> SpectralReport:
     """Check that the Gelfand transform is an isometric *-isomorphism.
 
     Raises SpectralHypothesisError (naming the hypothesis) unless the
@@ -399,7 +395,6 @@ def verify_spectral_theorem(
     its residual is within tol, and the report passes when every row does.
     ``spectrum_size`` is the number of classes, which is the even dimension
     by construction.
-    ``seed`` seeds the character finder.
     """
     if not check_commutative_symmetric(algebra, tol=max(tol, algebra.tol)).commutative:
         raise SpectralHypothesisError(
@@ -416,7 +411,7 @@ def verify_spectral_theorem(
         )
 
     ctol = max(tol, CHARACTER_TOL)
-    classes = spectrum_classes(algebra, seed=seed, tol=ctol)
+    classes = spectrum_classes(algebra, tol=ctol)
     d = algebra.dim
     T = gelfand_matrix(classes)
 

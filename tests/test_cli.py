@@ -28,6 +28,7 @@ from kreinalg import (
     gelfand_matrix,
     random_unitary,
     spectrum_classes,
+    verify_spectral_theorem,
 )
 from kreinalg import cli, finite_krein
 from kreinalg.cli import main
@@ -302,15 +303,16 @@ class TestVerify:
         assert main(["gen", "--points", "2", "--conjugate", "--out", str(inst)]) == 0
         assert main(["verify", "--input", str(inst)]) == 0
 
-    def test_report_does_not_depend_on_seed_or_samples(self, tmp_path):
-        """verify reads neither --seed nor --samples, so its report bytes are
-        the same whatever they are."""
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_report_does_not_depend_on_seed_or_samples(self, tmp_path, command):
+        """verify and spectrum read neither --seed nor --samples, so their
+        report bytes are the same whatever they are."""
         inst = tmp_path / "rot4.json"
         assert main(["gen", "--points", "4", "--conjugate", "--out", str(inst)]) == 0
         reports = []
         for flags in ([], ["--seed", "0", "--samples", "1"], ["--seed", str(2**64 - 1), "--samples", "7"]):
             reports.append(tmp_path / f"report{len(reports)}.json")
-            assert main(["verify", "--input", str(inst), "--report", str(reports[-1]), *flags]) == 0
+            assert main([command, "--input", str(inst), "--report", str(reports[-1]), *flags]) == 0
         assert len({r.read_bytes() for r in reports}) == 1
 
     def test_a_second_verify_in_one_process_retains_nothing(self, tmp_path):
@@ -755,6 +757,30 @@ class TestSpectrum:
         assert main(["spectrum", "--input", str(inst)]) == 3
         assert "hypothesis failure" in capsys.readouterr().err
 
+    def test_entry_points_find_the_same_characters(self, tmp_path):
+        # the library's finder and the CLI's draw from one stream
+        base = build_function_algebra(8)
+        alg = conjugate_algebra(base, random_unitary(base.ambient_dim, np.random.default_rng(3)))
+        inst, report = tmp_path / "rot8.json", tmp_path / "report.json"
+        inst.write_bytes(orjson.dumps(algebra_to_instance_dict(alg), option=cli._OPT))
+        assert main(["spectrum", "--input", str(inst), "--report", str(report)]) == 0
+        reported = np.array(
+            [
+                [[complex(*v[k]) for v in cls["even"]] for k in ("a", "b")]
+                for cls in json.loads(report.read_text())["characters"]
+            ]
+        ).reshape(-1, alg.dim)
+        assert np.array_equal(gelfand_matrix(spectrum_classes(alg)), reported)
+        assert np.array_equal(gelfand_matrix(verify_spectral_theorem(alg).classes), reported)
+
+    def test_library_and_cli_accept_the_same_mixed_frame(self, tmp_path, mixed_function_algebra):
+        # at cond 10**6.5 the finder needs its second combination
+        alg, _ = mixed_function_algebra(2, 6.5, tol=1e-7)
+        assert len(spectrum_classes(alg, tol=1e-7)) == 2
+        inst = tmp_path / "mixed.json"
+        inst.write_text(json.dumps(algebra_to_instance_dict(alg)))
+        assert main(["spectrum", "--input", str(inst), "--tol", "1e-7"]) == 0
+
     # cond 1e6 is left out: even_characters diagonalizes in coordinates, and
     # there its values are off by up to 5.9e-4 (see CHANGES.md)
     @pytest.mark.parametrize("cond_exp, bound", [(0, 1e-13), (4, 1e-7)], ids=["cond1", "cond1e4"])
@@ -788,7 +814,7 @@ class TestSpectrum:
 # exit 0.  The 48 runs exit 40 x 0, 4 x 1 and 4 x 2: construction rejects the
 # frame at cond 1e6, tol 1e-6, points 4 and 8 (basis_independence), and
 # spectrum fails only at cond 1e6, tol 1e-9: in the character finder on
-# points 2, and on character accuracy (ROADMAP item 4) on points 4
+# points 2, and on character accuracy (ROADMAP item 1) on points 4
 # (intertwines_odd_symmetry), 8 and 16 (homomorphism_product and
 # intertwines_odd_symmetry, plus homomorphism_star on points 8)
 MIXED_FRAME_EXITS = {
@@ -818,17 +844,48 @@ def test_mixed_frame_sweep(tmp_path, mixed_function_instance, points, cond_exp, 
         assert checks["commutative_symmetric"]["max_residual"] <= float(tol)
 
 
+# The runs of the sweep below that do not exit 0, as (points, tol, first and
+# last 2 cond_exp, exit code): 11 is cond 10**5.5.  The 204 runs exit 152 x 0,
+# 26 x 1 and 26 x 2.  Every frame is a valid function algebra, so each exit 1
+# is a wrong verdict (ROADMAP item 1), and each exit 2 is construction
+# rejecting the frame
+WIDE_SWEEP_EXITS = {
+    (points, k / 2, tol): code
+    for points, tol, first, last, code in [
+        (2, "1e-9", 11, 15, 1),
+        (2, "1e-8", 11, 15, 1),
+        (2, "1e-7", 14, 14, 1),
+        (4, "1e-9", 12, 15, 1),
+        (4, "1e-8", 13, 16, 1),
+        (4, "1e-7", 14, 14, 1),
+        (8, "1e-9", 12, 15, 1),
+        (8, "1e-8", 14, 15, 1),
+        (2, "1e-6", 13, 16, 2),
+        (2, "1e-7", 15, 16, 2),
+        (2, "1e-8", 16, 16, 2),
+        (2, "1e-9", 16, 16, 2),
+        (4, "1e-6", 12, 16, 2),
+        (4, "1e-7", 15, 16, 2),
+        (4, "1e-9", 16, 16, 2),
+        (8, "1e-6", 12, 16, 2),
+        (8, "1e-7", 14, 16, 2),
+        (8, "1e-8", 16, 16, 2),
+        (8, "1e-9", 16, 16, 2),
+    ]
+    for k in range(first, last + 1)
+}
+
+
 @pytest.mark.parametrize("tol", ["1e-9", "1e-8", "1e-7", "1e-6"])
 @pytest.mark.parametrize("cond_exp", [k / 2 for k in range(17)])
 @pytest.mark.parametrize("points", [2, 4, 8])
 def test_wide_mixed_frame_spectrum_sweep(tmp_path, mixed_function_instance, points, cond_exp, tol):
-    # 204 frames up to cond 1e8, in half decades.  Verdicts move with the
-    # frame (152 x 0, 26 x 1 and 26 x 2), but every run ends in an exit
-    # code, and every exit but 2 writes its report
+    # 204 frames up to cond 1e8, in half decades; each run's exit code is
+    # pinned, and every exit but 2 writes its report
     inst, report = tmp_path / "mixed.json", tmp_path / "report.json"
     inst.write_text(json.dumps(mixed_function_instance(points, cond_exp)))
     code = main(["spectrum", "--input", str(inst), "--tol", tol, "--report", str(report)])
-    assert code in (0, 1, 2, 3)
+    assert code == WIDE_SWEEP_EXITS.get((points, cond_exp, tol), 0)
     assert report.exists() == (code != 2)
 
 
