@@ -63,7 +63,6 @@ from .finite_krein import (
     _matrix_instance,
     _verify_rows,
 )
-from .spectrum import ClusteringAmbiguityError, NotCommutativeError
 from .spectrum import SpectralHypothesisError, verify_spectral_theorem
 
 __all__ = ["RunConfig", "run_verify", "run_spectrum", "run_gen", "run_counterexample", "main"]
@@ -379,20 +378,18 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_spectrum(cfg: RunConfig) -> int:
-    """Spectral-theorem suite; exit 3 on a failed hypothesis, 1 on a failed check or finder."""
+    """Spectral-theorem suite; exit 3 on a failed hypothesis, 1 on a failed row."""
     algebra = _loaded(cfg)
     if algebra is None:
         return EXIT_BAD_INPUT
     try:
         report = verify_spectral_theorem(algebra, tol=cfg.tol)
-    except (SpectralHypothesisError, ClusteringAmbiguityError, NotCommutativeError) as exc:
-        hypothesis = isinstance(exc, SpectralHypothesisError)
-        print(f"hypothesis failure: {exc}" if hypothesis else f"error: {exc}", file=sys.stderr)
-        error = {"hypothesis": exc.hypothesis} if hypothesis else {"check": "characters"}
-        error["message"] = str(exc)
+    except SpectralHypothesisError as exc:
+        print(f"hypothesis failure: {exc}", file=sys.stderr)
+        error = {"hypothesis": exc.hypothesis, "message": str(exc)}
         if not _dump_json({"command": "spectrum", "error": error}, cfg.output_path):
             return EXIT_BAD_INPUT
-        return EXIT_HYPOTHESIS if hypothesis else EXIT_CHECK_FAILED
+        return EXIT_HYPOTHESIS
 
     size = f"  spectrum size {report.spectrum_size}, transform rank {report.transform_rank}"
     return _report(cfg, report.checks, report.to_dict(), "spectral theorem verified", size)

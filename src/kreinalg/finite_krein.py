@@ -825,9 +825,10 @@ def check_odd_symmetry(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> Od
     if e is None:
         return OddSymmetryVerdict(None, None, 0.0, ("odd generator absent",))
     norm, u, absolute = np.linalg.norm, algebra.unit_coords, np.abs(e)
-    square, star = algebra._left_matrices(e).T @ e, algebra.star_coord @ np.conj(e)
+    star_matrix = algebra.star_coord  # a GEMM on each read: read once
+    square, star = algebra._left_matrices(e).T @ e, star_matrix @ np.conj(e)
     square_size = norm(absolute @ np.tensordot(absolute, np.abs(algebra.structure), 1))
-    star_size = norm(np.abs(algebra.star_coord) @ absolute)
+    star_size = norm(np.abs(star_matrix) @ absolute)
     # (residual, failure message); a NaN residual fails like a large one
     tests = [
         (algebra.odd_generator._grading_gap(-1), "generator is not odd"),

@@ -18,9 +18,9 @@ certificates construction took.
 Even characters are read off one multiplication matrix: the even part is a
 copy of C^m, so left multiplication by a generic even element is
 diagonalizable with the minimal projections as eigenvectors, and the
-characters are the dual basis.  A combination that fails to separate them is
-retried with fresh coefficients.  Commutativity, multiplicativity and the
-character axioms are tested in the random slot construction kept.
+characters are the dual basis.  The finder certifies nothing: the
+character axioms are ``verify_spectral_theorem``'s rows, and commutativity is
+``check_commutative_symmetric``, both in the random slot construction kept.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .finite_krein import (
 
 __all__ = [
     "NotCommutativeError",
-    "ClusteringAmbiguityError",
     "MissingOddGeneratorError",
     "SpectralHypothesisError",
     "EvenCharacter",
@@ -67,18 +66,12 @@ __all__ = [
 ]
 
 CHARACTER_TOL = 1e-8
-# one fixed stream for the character finder: every entry point finds the same characters
+# the character finder's one combination: every entry point finds the same characters
 _FINDER_SEED = 42
-_FINDER_ATTEMPTS = 5
 
 
 class NotCommutativeError(ValueError):
-    """Characters are only computed for commutative even parts."""
-
-
-class ClusteringAmbiguityError(RuntimeError):
-    """No random combination of the even basis yielded multiplicative
-    characters within the allowed attempts."""
+    """Characters are only computed for commutative algebras."""
 
 
 class MissingOddGeneratorError(ValueError):
@@ -107,59 +100,38 @@ class EvenCharacter:
 
 
 def even_characters(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> list[EvenCharacter]:
-    """All characters of the (commutative) even part, one per minimal projection.
+    """All characters of the even part of a commutative algebra, one per
+    minimal projection.
 
-    Left multiplication by a random real combination x of the even basis,
-    restricted to the even part, is diagonalized: its eigenvectors are the
-    minimal projections, and the rows of the inverse eigenvector matrix,
-    scaled to read 1 on the unit, are the characters.  y, the even
-    coordinates of the random slot construction kept (``KreinAlgebra._slot``),
-    fills one slot (Freivalds, 1977) of two tests, each relative to the sizes
-    of its terms: x y = y x (else NotCommutativeError), and w(y e_j) =
-    w(y) w(e_j) on the even basis e_j to ``tol``, which accepts the
-    characters.  Otherwise the next combination is tried, and after
-    ``_FINDER_ATTEMPTS`` attempts a ClusteringAmbiguityError is raised.  The
-    combinations come from the fixed ``_FINDER_SEED``, so the result depends
-    on the algebra and ``tol`` alone.  It is sorted lexicographically by the
-    values on the algebra's basis, rounded to 9 decimals, and its length
-    always equals the even dimension.  O(d^3): one multiplication matrix per
-    element.
+    Raises NotCommutativeError unless ``check_commutative_symmetric`` passes
+    at ``tol``.  Left multiplication by one real combination x of the even
+    basis, drawn from the fixed ``_FINDER_SEED``, restricted to the even part,
+    is diagonalized: its eigenvectors are the minimal projections, and the
+    rows of the inverse eigenvector matrix, scaled to read 1 on the unit, are
+    the characters.  They are not tested here: a combination that does not
+    separate them, or a structure tensor that is not multiplicative, gives
+    rows that are not characters, which ``character_residuals`` reads (as
+    ``verify_spectral_theorem``'s rows do).  The result depends on the
+    algebra alone.  It is sorted lexicographically by the values on the
+    algebra's basis, rounded to 9 decimals, and its length always equals the
+    even dimension.  O(d^3): one multiplication matrix.
     """
-    eb, norm = algebra.even_basis, np.linalg.norm
-    m = eb.shape[1]
-
-    def restricted(c: np.ndarray) -> np.ndarray:
-        # v -> z v on the even part for z = eb @ c; [a, j]: coordinate a of z e_j
-        return eb.conj().T @ (algebra._left_matrices(eb @ c).T @ eb)
-
-    rng = np.random.default_rng(_FINDER_SEED)
-    x, y = rng.standard_normal(m), eb.conj().T @ algebra._slot
-    X, Y = restricted(x), restricted(y)
-    # each gap is relative to the bounds ||M|| ||v|| of its terms M v
-    comm = _relative(norm(X @ y - Y @ x), norm(X) * norm(y) + norm(Y) * norm(x))
-    if comm > tol:
-        raise NotCommutativeError(f"even part is not commutative (residual {comm:.3e})")
-
-    unit, resid = eb.conj().T @ algebra.unit_coords, float("nan")
-    for _ in range(_FINDER_ATTEMPTS):
-        W = np.linalg.inv(np.linalg.eig(X)[1])
-        W = W / (W @ unit)[:, None]
-        wy = W @ y
-        # column j: w(y e_j) - w(y) w(e_j) for every character w
-        gaps = norm(W @ Y - wy[:, None] * W, axis=0)
-        resid = _relative(gaps, norm(W) * norm(Y, axis=0) + norm(wy) * norm(W, axis=0))
-        if resid <= tol:
-            # keyed on the values on the algebra's own basis: even_basis is an
-            # arbitrary orthonormal basis of a degenerate singular subspace, so
-            # W may change under roundoff where these do not.  Row c of keys
-            # is (re, im) of each value in turn; lexsort's primary key is last
-            keys = np.round(W @ eb.conj().T, 9).view(float)
-            return [EvenCharacter(algebra, w) for w in W[np.lexsort(keys.T[::-1])]]
-        X = restricted(rng.standard_normal(m))
-    raise ClusteringAmbiguityError(
-        "no combination of the even basis separated the characters "
-        f"(multiplicativity residual {resid:.3e})"
-    )
+    verdict = check_commutative_symmetric(algebra, tol)
+    if not verdict.commutative:
+        raise NotCommutativeError(
+            f"algebra is not commutative (residual {verdict.commutator_residual:.3e})"
+        )
+    eb = algebra.even_basis
+    x = eb @ np.random.default_rng(_FINDER_SEED).standard_normal(eb.shape[1])
+    # [a, j]: coordinate a of x e_j on the even part
+    W = np.linalg.inv(np.linalg.eig(eb.conj().T @ (algebra._left_matrices(x).T @ eb))[1])
+    W = W / (W @ (eb.conj().T @ algebra.unit_coords))[:, None]
+    # keyed on the values on the algebra's own basis: even_basis is an
+    # arbitrary orthonormal basis of a degenerate singular subspace, so W may
+    # change under roundoff where these do not.  Row c of keys is (re, im) of
+    # each value in turn; lexsort's primary key is last
+    keys = np.round(W @ eb.conj().T, 9).view(float)
+    return [EvenCharacter(algebra, w) for w in W[np.lexsort(keys.T[::-1])]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +267,8 @@ class SpectrumClass:
 
 def spectrum_classes(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> list[SpectrumClass]:
     """All character classes, ordered by the even-part value tuples; every
-    even character is extended by one product (see ``extend_character``)."""
+    even character is extended by one product (see ``extend_character``).
+    Nothing tests that they are characters: read ``character_residuals``."""
     omegas = even_characters(algebra, tol=tol)
     A, B = _extend(algebra, np.array([om.values for om in omegas]))
     classes = []
@@ -396,22 +369,24 @@ def verify_spectral_theorem(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) 
     ``spectrum_size`` is the number of classes, which is the even dimension
     by construction.
     """
-    if not check_commutative_symmetric(algebra, tol=max(tol, algebra.tol)).commutative:
+    htol = max(tol, algebra.tol)
+    if not check_commutative_symmetric(algebra, tol=htol).commutative:
         raise SpectralHypothesisError(
             "algebra is not commutative with symmetric odd bimodule",
             hypothesis="commutative",
         )
-    if not check_full(algebra, tol=max(tol, algebra.tol)):
+    if not check_full(algebra, tol=htol):
         raise SpectralHypothesisError("odd part not full", hypothesis="full")
-    ov = check_odd_symmetry(algebra, tol=max(tol, algebra.tol))
+    ov = check_odd_symmetry(algebra, tol=htol)
     if ov.exists is not True:
         raise SpectralHypothesisError(
             "no valid odd symmetry (odd generator absent or defective)",
             hypothesis="odd symmetry",
         )
 
-    ctol = max(tol, CHARACTER_TOL)
-    classes = spectrum_classes(algebra, tol=ctol)
+    # the finder's commutativity guard reads the hypothesis above at its tol,
+    # so it cannot fail after it
+    classes = spectrum_classes(algebra, tol=htol)
     d = algebra.dim
     T = gelfand_matrix(classes)
 

@@ -33,7 +33,6 @@ from kreinalg import (
 from kreinalg import cli, finite_krein
 from kreinalg.cli import main
 from kreinalg.finite_krein import _pairs_to_json, _pairs_view
-from kreinalg.spectrum import ClusteringAmbiguityError, NotCommutativeError
 
 
 def read_back(o):
@@ -728,28 +727,18 @@ class TestSpectrum:
         blob = json.loads(report.read_text())
         assert blob["error"]["hypothesis"] == "full"
 
-    @pytest.mark.parametrize(
-        "error", [ClusteringAmbiguityError, NotCommutativeError], ids=lambda e: e.__name__
-    )
-    def test_character_finder_failure_exits_1_with_its_message(
-        self, tmp_path, capsys, monkeypatch, error
-    ):
-        # the hypotheses hold, then the finder fails: a failed check, not a traceback
-        inst, report = tmp_path / "fn.json", tmp_path / "report.json"
-        main(["gen", "--points", "2", "--conjugate", "--out", str(inst)])
-        message = "the finder failed (residual 1.000e-03)"
+    def test_character_finder_guard_reads_the_hypothesis_at_its_tol(self, fn3, monkeypatch):
+        # the finder's commutativity guard repeats the hypothesis at the same
+        # tol, max(tol, algebra.tol), so it cannot fail after the hypothesis held
+        check, tols = kreinalg.spectrum.check_commutative_symmetric, []
 
-        def failing(*args, **kwargs):
-            raise error(message)
+        def spy(algebra, tol):
+            tols.append(tol)
+            return check(algebra, tol)
 
-        monkeypatch.setattr(kreinalg.spectrum, "even_characters", failing)
-        capsys.readouterr()
-        assert main(["spectrum", "--input", str(inst), "--report", str(report)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert json.loads(report.read_text()) == {
-            "command": "spectrum",
-            "error": {"check": "characters", "message": message},
-        }
+        monkeypatch.setattr(kreinalg.spectrum, "check_commutative_symmetric", spy)
+        assert verify_spectral_theorem(fn3, tol=1e-12).passed
+        assert tols == [1e-9, 1e-9]
 
     def test_noncommutative_instance_exits_3(self, tmp_path, capsys, m2_algebra):
         inst = tmp_path / "m2.json"
@@ -774,7 +763,8 @@ class TestSpectrum:
         assert np.array_equal(gelfand_matrix(verify_spectral_theorem(alg).classes), reported)
 
     def test_library_and_cli_accept_the_same_mixed_frame(self, tmp_path, mixed_function_algebra):
-        # at cond 10**6.5 the finder needs its second combination
+        # at cond 10**6.5 the finder's one combination gives characters whose
+        # rows pass at tol 1e-7, from the library and from the CLI alike
         alg, _ = mixed_function_algebra(2, 6.5, tol=1e-7)
         assert len(spectrum_classes(alg, tol=1e-7)) == 2
         inst = tmp_path / "mixed.json"
@@ -811,15 +801,15 @@ class TestSpectrum:
 
 
 # Every (command, points, cond_exp, tol) of the sweep below that does not
-# exit 0.  The 48 runs exit 40 x 0, 4 x 1 and 4 x 2: construction rejects the
+# exit 0.  The 48 runs exit 41 x 0, 3 x 1 and 4 x 2: construction rejects the
 # frame at cond 1e6, tol 1e-6, points 4 and 8 (basis_independence), and
-# spectrum fails only at cond 1e6, tol 1e-9: in the character finder on
-# points 2, and on character accuracy (ROADMAP item 1) on points 4
+# spectrum fails only at cond 1e6, tol 1e-9.  Every exit 1 left is a failed
+# row of character accuracy, which ROADMAP item 1 mends: on points 4
 # (intertwines_odd_symmetry), 8 and 16 (homomorphism_product and
 # intertwines_odd_symmetry, plus homomorphism_star on points 8)
 MIXED_FRAME_EXITS = {
     **{(command, points, 6, "1e-6"): 2 for command in ("verify", "spectrum") for points in (4, 8)},
-    **{("spectrum", points, 6, "1e-9"): 1 for points in (2, 4, 8, 16)},
+    **{("spectrum", points, 6, "1e-9"): 1 for points in (4, 8, 16)},
 }
 
 
@@ -845,18 +835,17 @@ def test_mixed_frame_sweep(tmp_path, mixed_function_instance, points, cond_exp, 
 
 
 # The runs of the sweep below that do not exit 0, as (points, tol, first and
-# last 2 cond_exp, exit code): 11 is cond 10**5.5.  The 204 runs exit 152 x 0,
-# 26 x 1 and 26 x 2.  Every frame is a valid function algebra, so each exit 1
-# is a wrong verdict (ROADMAP item 1), and each exit 2 is construction
-# rejecting the frame
+# last 2 cond_exp, exit code): 12 is cond 10**6.  The 204 runs exit 161 x 0,
+# 17 x 1 and 26 x 2.  Every frame is a valid function algebra, so each exit 1
+# is a wrong verdict: every one left is a failed row of the report, which
+# ROADMAP item 1 mends.  Each exit 2 is construction rejecting the frame
 WIDE_SWEEP_EXITS = {
     (points, k / 2, tol): code
     for points, tol, first, last, code in [
-        (2, "1e-9", 11, 15, 1),
-        (2, "1e-8", 11, 15, 1),
-        (2, "1e-7", 14, 14, 1),
+        (2, "1e-9", 14, 15, 1),
+        (2, "1e-8", 15, 15, 1),
         (4, "1e-9", 12, 15, 1),
-        (4, "1e-8", 13, 16, 1),
+        (4, "1e-8", 14, 16, 1),
         (4, "1e-7", 14, 14, 1),
         (8, "1e-9", 12, 15, 1),
         (8, "1e-8", 14, 15, 1),
@@ -881,12 +870,15 @@ WIDE_SWEEP_EXITS = {
 @pytest.mark.parametrize("points", [2, 4, 8])
 def test_wide_mixed_frame_spectrum_sweep(tmp_path, mixed_function_instance, points, cond_exp, tol):
     # 204 frames up to cond 1e8, in half decades; each run's exit code is
-    # pinned, and every exit but 2 writes its report
+    # pinned, every exit but 2 writes its report, and an exit 1 names the
+    # rows that failed
     inst, report = tmp_path / "mixed.json", tmp_path / "report.json"
     inst.write_text(json.dumps(mixed_function_instance(points, cond_exp)))
     code = main(["spectrum", "--input", str(inst), "--tol", tol, "--report", str(report)])
     assert code == WIDE_SWEEP_EXITS.get((points, cond_exp, tol), 0)
     assert report.exists() == (code != 2)
+    if code == 1:
+        assert any(not c["passed"] for c in json.loads(report.read_text())["checks"])
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

@@ -12,7 +12,6 @@ import pytest
 
 from kreinalg import (
     Character,
-    ClusteringAmbiguityError,
     KElem,
     KreinAlgebra,
     MissingOddGeneratorError,
@@ -107,16 +106,19 @@ class TestEvenCharacters:
             even_characters(m2_algebra)
 
     def test_rejects_corrupt_structure_tensor(self, fn3):
-        # Noise symmetric in the two factors keeps the even part commutative,
-        # so only the multiplicativity of the characters can expose it.
+        # Noise symmetric in the two factors keeps the algebra commutative, so
+        # the finder returns, and only the multiplicativity of the characters
+        # it found can expose the corruption
         noise = 1e-6 * np.random.default_rng(0).standard_normal(fn3.structure.shape)
         mutant = copy.copy(fn3)
         mutant.structure = fn3.structure + (noise + noise.transpose(1, 0, 2)) / 2
-        with pytest.raises(ClusteringAmbiguityError):
-            even_characters(mutant)
+        assert len(even_characters(mutant)) == 3
+        for cls in spectrum_classes(mutant):
+            assert character_residuals(cls.even_rep)["multiplicative"] > spectrum.CHARACTER_TOL
 
     def test_deterministic(self, fn3):
-        # the finder draws from a fixed stream: two calls agree bit for bit
+        # the finder draws its one combination from a fixed seed: two calls
+        # agree bit for bit
         first, second = even_characters(fn3), even_characters(fn3)
         assert len(first) == len(second) == 3
         for a, b in zip(first, second):
