@@ -740,6 +740,37 @@ class TestSpectrum:
         assert verify_spectral_theorem(fn3, tol=1e-12).passed
         assert tols == [1e-9, 1e-9]
 
+    @pytest.mark.parametrize(
+        "perturb, failing",
+        [
+            # off by a factor: neither unital nor multiplicative
+            (lambda W: 1.001 * W, {"homomorphism_product", "unital"}),
+            # the mean of two characters reads 1 on the unit but is not one
+            (lambda W: (W + W[::-1]) / 2, {"homomorphism_product"}),
+        ],
+        ids=["scaled", "mixed"],
+    )
+    def test_finder_output_that_is_not_characters_fails_its_rows(
+        self, tmp_path, capsys, monkeypatch, perturb, failing
+    ):
+        # the finder certifies nothing: rows that are not characters exit 1
+        # on the report's rows, not on an error of the finder's own
+        inst, report = tmp_path / "fn.json", tmp_path / "report.json"
+        main(["gen", "--points", "2", "--conjugate", "--out", str(inst)])
+        finder = kreinalg.spectrum.even_characters
+
+        def wrong(algebra, **kwargs):
+            W = perturb(np.array([om.values for om in finder(algebra, **kwargs)]))
+            return [kreinalg.spectrum.EvenCharacter(algebra, w) for w in W]
+
+        monkeypatch.setattr(kreinalg.spectrum, "even_characters", wrong)
+        capsys.readouterr()
+        assert main(["spectrum", "--input", str(inst), "--report", str(report)]) == 1
+        assert "error" not in capsys.readouterr().err
+        blob = json.loads(report.read_text())
+        assert "error" not in blob and not blob["passed"]
+        assert failing <= {c["name"] for c in blob["checks"] if not c["passed"]}
+
     def test_noncommutative_instance_exits_3(self, tmp_path, capsys, m2_algebra):
         inst = tmp_path / "m2.json"
         inst.write_text(json.dumps(algebra_to_instance_dict(m2_algebra)))
