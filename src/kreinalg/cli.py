@@ -355,16 +355,19 @@ def _loaded(cfg: RunConfig) -> KreinAlgebra | None:
         return None
 
 
+def _written(cfg: RunConfig, data: dict, code: int) -> int:
+    """Write data with the command and tol as the report: code, or EXIT_BAD_INPUT if unwritable."""
+    return code if _dump_json(dict(data, command=cfg.command, tol=cfg.tol), cfg.output_path) else EXIT_BAD_INPUT
+
+
 def _report(cfg: RunConfig, checks: list[CheckResult], data: dict, verdict: str, *lines: str) -> int:
     """Print the header, any extra lines, the checks and the verdict, or
-    CHECKS FAILED when data["passed"] is false; write data with the command
-    and tol as the report; return the exit code."""
+    CHECKS FAILED when data["passed"] is false; write the report
+    (``_written``); return the exit code."""
     print(f"{cfg.command}: {cfg.input_path}", *lines, sep="\n")
     _print_checks(checks)
     print(verdict if data["passed"] else "CHECKS FAILED")
-    if not _dump_json(dict(data, command=cfg.command, tol=cfg.tol), cfg.output_path):
-        return EXIT_BAD_INPUT
-    return EXIT_OK if data["passed"] else EXIT_CHECK_FAILED
+    return _written(cfg, data, EXIT_OK if data["passed"] else EXIT_CHECK_FAILED)
 
 
 def run_verify(cfg: RunConfig) -> int:
@@ -386,10 +389,8 @@ def run_spectrum(cfg: RunConfig) -> int:
         report = verify_spectral_theorem(algebra, tol=cfg.tol)
     except SpectralHypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
-        error = {"hypothesis": exc.hypothesis, "message": str(exc)}
-        if not _dump_json({"command": "spectrum", "error": error}, cfg.output_path):
-            return EXIT_BAD_INPUT
-        return EXIT_HYPOTHESIS
+        error = {"hypothesis": exc.hypothesis, "message": str(exc), "check": exc.check.to_dict()}
+        return _written(cfg, {"error": error}, EXIT_HYPOTHESIS)
 
     size = f"  spectrum size {report.spectrum_size}, transform rank {report.transform_rank}"
     return _report(cfg, report.checks, report.to_dict(), "spectral theorem verified", size)

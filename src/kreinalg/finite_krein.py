@@ -917,28 +917,28 @@ def check_imprimitivity(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> C
     return next(r for r in _implied_rows(algebra, tol) if r.name == "imprimitivity")
 
 
-def _verify_rows(algebra: KreinAlgebra, tol: float) -> list[CheckResult]:
-    """The rows of ``verify``, in order: ``construction``, the largest
-    validation residual but ``basis_independence``; the rows of
-    ``_implied_rows``; ``fullness``, the ``_fullness_margin``, which is worse
-    when smaller and so passes above tol; ``commutative_symmetric``, which is
-    informational and passes whatever its one flag reads; and
-    ``odd_symmetry``, which passes when the generator is absent, since its
-    existence is then unknown, and otherwise when it is ``isometric``."""
-    construction = max(
-        v for k, v in algebra.validation_residuals.items() if k != "basis_independence"
-    )
+def _hypothesis_rows(algebra: KreinAlgebra, tol: float) -> list[CheckResult]:
+    """``verify``'s last rows, the spectral theorem's hypotheses: ``fullness``,
+    the ``_fullness_margin`` (worse when smaller, so it passes above tol);
+    ``commutative_symmetric``, informational, passing whatever its flag reads;
+    ``odd_symmetry``, passing when no generator is given, else when ``isometric``."""
     margin = _fullness_margin(algebra)
     cs = check_commutative_symmetric(algebra, tol)
     ov = check_odd_symmetry(algebra, tol=tol)
     odd_detail = "odd generator absent; existence unknown" if ov.absent else "; ".join(ov.failures)
     return [
-        CheckResult("construction", construction <= tol, construction),
-        *_implied_rows(algebra, tol),
         CheckResult("fullness", margin > tol, margin, f"even dim {algebra.even_basis.shape[1]}"),
         CheckResult("commutative_symmetric", True, cs.commutator_residual, f"commutative={cs.commutative}"),
         CheckResult("odd_symmetry", bool(ov.absent or ov.isometric), ov.max_residual, odd_detail or None),
     ]
+
+
+def _verify_rows(algebra: KreinAlgebra, tol: float) -> list[CheckResult]:
+    """The rows of ``verify``, in order: ``construction``, the largest validation
+    residual but ``basis_independence``, then ``_implied_rows`` and ``_hypothesis_rows``."""
+    construction = max(v for k, v in algebra.validation_residuals.items() if k != "basis_independence")
+    rows = [CheckResult("construction", construction <= tol, construction), *_implied_rows(algebra, tol)]
+    return rows + _hypothesis_rows(algebra, tol)
 
 
 # -- quotients -----------------------------------------------------------------

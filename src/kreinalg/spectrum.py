@@ -19,8 +19,9 @@ Even characters are read off one multiplication matrix: the even part is a
 copy of C^m, so left multiplication by a generic even element is
 diagonalizable with the minimal projections as eigenvectors, and the
 characters are the dual basis.  The finder certifies nothing: the
-character axioms are ``verify_spectral_theorem``'s rows, and commutativity is
-``check_commutative_symmetric``, both in the random slot construction kept.
+character axioms are ``verify_spectral_theorem``'s rows, in the random slot
+construction kept, and its hypotheses, commutativity among them, are
+``verify``'s rows, computed once (``finite_krein._hypothesis_rows``).
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from .finite_krein import (
     DEFAULT_TOL,
     GradedElement,
     KreinAlgebra,
+    _hypothesis_rows,
     _implied,
     _pairs_to_json,
     _random_coords,
     _rank,
     _relative,
     check_commutative_symmetric,
-    check_full,
-    check_odd_symmetry,
 )
 
 __all__ = [
@@ -79,11 +79,11 @@ class MissingOddGeneratorError(ValueError):
 
 
 class SpectralHypothesisError(RuntimeError):
-    """A spectral-theorem hypothesis failed; ``hypothesis`` names it."""
+    """A spectral-theorem hypothesis failed; ``hypothesis`` names it, ``check`` is its row."""
 
-    def __init__(self, message: str, hypothesis: str):
+    def __init__(self, message: str, hypothesis: str, check: CheckResult):
         super().__init__(message)
-        self.hypothesis = hypothesis
+        self.hypothesis, self.check = hypothesis, check
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +121,11 @@ def even_characters(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> lis
         raise NotCommutativeError(
             f"algebra is not commutative (residual {verdict.commutator_residual:.3e})"
         )
+    return [EvenCharacter(algebra, w) for w in _character_values(algebra)]
+
+
+def _character_values(algebra: KreinAlgebra) -> np.ndarray:
+    """``even_characters`` past its guard: row c is character c on the even basis."""
     eb = algebra.even_basis
     x = eb @ np.random.default_rng(_FINDER_SEED).standard_normal(eb.shape[1])
     # [a, j]: coordinate a of x e_j on the even part
@@ -131,7 +136,7 @@ def even_characters(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> lis
     # change under roundoff where these do not.  Row c of keys is (re, im) of
     # each value in turn; lexsort's primary key is last
     keys = np.round(W @ eb.conj().T, 9).view(float)
-    return [EvenCharacter(algebra, w) for w in W[np.lexsort(keys.T[::-1])]]
+    return W[np.lexsort(keys.T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,13 +274,13 @@ def spectrum_classes(algebra: KreinAlgebra, *, tol: float = CHARACTER_TOL) -> li
     """All character classes, ordered by the even-part value tuples; every
     even character is extended by one product (see ``extend_character``).
     Nothing tests that they are characters: read ``character_residuals``."""
-    omegas = even_characters(algebra, tol=tol)
-    A, B = _extend(algebra, np.array([om.values for om in omegas]))
-    classes = []
-    for a_vals, b_vals in zip(A, B):
-        w = Character(algebra, a_vals, b_vals)
-        classes.append(SpectrumClass(even_rep=w, partner=w.gamma_composed()))
-    return classes
+    return _classes(algebra, np.array([om.values for om in even_characters(algebra, tol=tol)]))
+
+
+def _classes(algebra: KreinAlgebra, values: np.ndarray) -> list[SpectrumClass]:
+    """The classes of the even characters whose values on the even basis are the rows of ``values``."""
+    reps = [Character(algebra, a, b) for a, b in zip(*_extend(algebra, values))]
+    return [SpectrumClass(even_rep=w, partner=w.gamma_composed()) for w in reps]
 
 
 def gelfand_matrix(classes: list[SpectrumClass]) -> np.ndarray:
@@ -285,11 +290,7 @@ def gelfand_matrix(classes: list[SpectrumClass]) -> np.ndarray:
     functional, matching the (even, odd) per-point basis ordering of
     ``build_function_algebra``.
     """
-    rows = []
-    for cls in classes:
-        rows.append(cls.even_rep.a_values)
-        rows.append(cls.even_rep.b_values)
-    return np.array(rows)
+    return np.array([v for cls in classes for v in (cls.even_rep.a_values, cls.even_rep.b_values)])
 
 
 def gelfand(algebra: KreinAlgebra, x, classes: list[SpectrumClass] | None = None) -> list[KElem]:
@@ -351,9 +352,12 @@ class SpectralReport:
 def verify_spectral_theorem(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) -> SpectralReport:
     """Check that the Gelfand transform is an isometric *-isomorphism.
 
-    Raises SpectralHypothesisError (naming the hypothesis) unless the
-    algebra is commutative with symmetric odd bimodule, the odd part is
-    full, and a valid odd generator is present.  Then checks each fact
+    The hypotheses are the rows of ``_hypothesis_rows`` at max(tol,
+    algebra.tol), listed first: commutative (its residual within that tol),
+    full, and odd symmetry (a generator present and its row passing; its
+    ``isometric`` adds only closure certificates construction held within
+    algebra.tol).  The first that fails raises SpectralHypothesisError, with
+    its row; else the finder runs past its guard.  Then checks each fact
     once, with T the transform matrix: injectivity through its rank
     (``injectivity_conditioning``, residual d - rank, passing at 0; under
     the hypotheses d = 2N, so rank d is also surjectivity); on the basis,
@@ -370,23 +374,17 @@ def verify_spectral_theorem(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) 
     by construction.
     """
     htol = max(tol, algebra.tol)
-    if not check_commutative_symmetric(algebra, tol=htol).commutative:
-        raise SpectralHypothesisError(
-            "algebra is not commutative with symmetric odd bimodule",
-            hypothesis="commutative",
-        )
-    if not check_full(algebra, tol=htol):
-        raise SpectralHypothesisError("odd part not full", hypothesis="full")
-    ov = check_odd_symmetry(algebra, tol=htol)
-    if ov.exists is not True:
-        raise SpectralHypothesisError(
-            "no valid odd symmetry (odd generator absent or defective)",
-            hypothesis="odd symmetry",
-        )
+    full, cs, odd = hypotheses = _hypothesis_rows(algebra, htol)
+    for row, holds, name, message in (
+        (cs, cs.max_residual <= htol, "commutative", "algebra is not commutative with symmetric odd bimodule"),
+        (full, full.passed, "full", "odd part not full"),
+        (odd, odd.passed and algebra.odd_generator_coords is not None, "odd symmetry",
+         "no valid odd symmetry (odd generator absent or defective)"),
+    ):
+        if not holds:
+            raise SpectralHypothesisError(message, name, row)
 
-    # the finder's commutativity guard reads the hypothesis above at its tol,
-    # so it cannot fail after it
-    classes = spectrum_classes(algebra, tol=htol)
+    classes = _classes(algebra, _character_values(algebra))
     d = algebra.dim
     T = gelfand_matrix(classes)
 
@@ -394,6 +392,7 @@ def verify_spectral_theorem(algebra: KreinAlgebra, *, tol: float = DEFAULT_TOL) 
     rank = _rank(sv, max(tol, 1e-12))
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     checks = [
+        *hypotheses,
         CheckResult(
             "injectivity_conditioning",
             rank == d,

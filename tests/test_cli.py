@@ -727,18 +727,36 @@ class TestSpectrum:
         blob = json.loads(report.read_text())
         assert blob["error"]["hypothesis"] == "full"
 
-    def test_character_finder_guard_reads_the_hypothesis_at_its_tol(self, fn3, monkeypatch):
-        # the finder's commutativity guard repeats the hypothesis at the same
-        # tol, max(tol, algebra.tol), so it cannot fail after the hypothesis held
-        check, tols = kreinalg.spectrum.check_commutative_symmetric, []
+    @pytest.mark.parametrize("entry", ["library", "cli"])
+    def test_one_run_computes_each_hypothesis_once(self, tmp_path, monkeypatch, entry):
+        # the suite reads verify's hypothesis rows and runs the finder past its
+        # guard: the commutator residual, the fullness margin and the
+        # odd-symmetry verdict are each computed once, at max(tol, algebra.tol)
+        calls = []
+        for name in ("check_commutative_symmetric", "_fullness_margin", "check_odd_symmetry"):
+            original = getattr(finite_krein, name)
 
-        def spy(algebra, tol):
-            tols.append(tol)
-            return check(algebra, tol)
+            def spy(algebra, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, *args, *kwargs.values()))
+                return _original(algebra, *args, **kwargs)
 
-        monkeypatch.setattr(kreinalg.spectrum, "check_commutative_symmetric", spy)
-        assert verify_spectral_theorem(fn3, tol=1e-12).passed
-        assert tols == [1e-9, 1e-9]
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "kreinalg" or module_name.startswith("kreinalg."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, spy)
+        if entry == "library":  # the algebra's tol, 1e-9, exceeds the suite's
+            assert verify_spectral_theorem(build_function_algebra(3), tol=1e-12).passed
+            tol = 1e-9
+        else:  # the CLI constructs the algebra at --tol
+            inst, tol = str(tmp_path / "rotated3.json"), 1e-7
+            assert main(["gen", "--points", "3", "--conjugate", "--out", inst]) == 0
+            assert main(["spectrum", "--input", inst, "--tol", repr(tol)]) == 0
+        assert sorted(calls) == [
+            ("_fullness_margin",),
+            ("check_commutative_symmetric", tol),
+            ("check_odd_symmetry", tol),
+        ]
 
     @pytest.mark.parametrize(
         "perturb, failing",
@@ -757,19 +775,45 @@ class TestSpectrum:
         # on the report's rows, not on an error of the finder's own
         inst, report = tmp_path / "fn.json", tmp_path / "report.json"
         main(["gen", "--points", "2", "--conjugate", "--out", str(inst)])
-        finder = kreinalg.spectrum.even_characters
-
-        def wrong(algebra, **kwargs):
-            W = perturb(np.array([om.values for om in finder(algebra, **kwargs)]))
-            return [kreinalg.spectrum.EvenCharacter(algebra, w) for w in W]
-
-        monkeypatch.setattr(kreinalg.spectrum, "even_characters", wrong)
+        finder = kreinalg.spectrum._character_values
+        monkeypatch.setattr(kreinalg.spectrum, "_character_values", lambda algebra: perturb(finder(algebra)))
         capsys.readouterr()
         assert main(["spectrum", "--input", str(inst), "--report", str(report)]) == 1
         assert "error" not in capsys.readouterr().err
         blob = json.loads(report.read_text())
         assert "error" not in blob and not blob["passed"]
         assert failing <= {c["name"] for c in blob["checks"] if not c["passed"]}
+
+    @pytest.mark.parametrize(
+        "case, hypothesis, row, detail",
+        [
+            ("m2", "commutative", "commutative_symmetric", "commutative=False"),
+            ("nonfull", "full", "fullness", "even dim 2"),
+            ("no_generator", "odd symmetry", "odd_symmetry", "odd generator absent; existence unknown"),
+            ("broken_generator", "odd symmetry", "odd_symmetry", "generator squared is not the unit"),
+        ],
+    )
+    def test_exit_3_report_carries_the_deciding_row(
+        self, tmp_path, capsys, request, case, hypothesis, row, detail
+    ):
+        # error.check is verify's row for the hypothesis, verbatim; stdout
+        # stays empty and stderr keeps its one line
+        inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(algebra_to_instance_dict(request.getfixturevalue(f"{case}_algebra"))))
+        capsys.readouterr()
+        assert main(["spectrum", "--input", str(inst), "--report", str(report)]) == 3
+        out, err = capsys.readouterr()
+        error = json.loads(report.read_text())["error"]
+        assert out == "" and err == f"hypothesis failure: {error['message']}\n"
+        assert error["hypothesis"] == hypothesis
+        assert error["check"]["name"] == row and error["check"]["detail"] == detail
+        main(["verify", "--input", str(inst), "--report", str(report)])
+        verified = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert error["check"] == verified[row]
+        if case == "m2":  # informational: the row passes, the hypothesis names the failure
+            assert error["check"]["passed"] and error["check"]["max_residual"] > 1e-9
+        if case == "nonfull":  # the margin of a nonfull odd part reads 0
+            assert not error["check"]["passed"] and error["check"]["max_residual"] == 0.0
 
     def test_noncommutative_instance_exits_3(self, tmp_path, capsys, m2_algebra):
         inst = tmp_path / "m2.json"
@@ -949,6 +993,9 @@ VERIFY_CHECKS = [
     "odd_symmetry",
 ]
 SPECTRUM_CHECKS = [
+    "fullness",
+    "commutative_symmetric",
+    "odd_symmetry",
     "injectivity_conditioning",
     "homomorphism_product",
     "homomorphism_star",
@@ -1011,6 +1058,16 @@ class TestReportStructure:
         assert sorted(blob) == keys
         assert [c["name"] for c in blob["checks"]] == names
         assert all(c["passed"] for c in blob["checks"])
+
+    def test_hypothesis_failure_report(self, tmp_path, nonfull_algebra):
+        inst, report = tmp_path / "nonfull.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(algebra_to_instance_dict(nonfull_algebra)))
+        assert main(["spectrum", "--input", str(inst), "--report", str(report)]) == 3
+        blob = json.loads(report.read_text())
+        assert sorted(blob) == ["command", "error", "tol"]
+        assert blob["command"] == "spectrum" and blob["tol"] == 1e-9
+        assert sorted(blob["error"]) == ["check", "hypothesis", "message"]
+        assert sorted(blob["error"]["check"]) == ["detail", "max_residual", "name", "passed"]
 
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     def test_indented_instance_gives_the_same_report(self, tmp_path, command):

@@ -34,7 +34,7 @@ from kreinalg import (
     verify_spectral_theorem,
 )
 from kreinalg import spectrum
-from kreinalg.finite_krein import DEFAULT_TOL
+from kreinalg.finite_krein import DEFAULT_TOL, _hypothesis_rows
 from kreinalg.spectrum import _largest_principal_angle
 
 
@@ -312,6 +312,9 @@ class TestSpectralTheorem:
 
 
 SPECTRAL_CHECKS = [
+    "fullness",
+    "commutative_symmetric",
+    "odd_symmetry",
     "injectivity_conditioning",
     "homomorphism_product",
     "homomorphism_star",
@@ -347,9 +350,12 @@ SPECTRAL_MUTANTS = {
 
 
 def assert_rows_read_their_residuals(report, algebra, tol):
-    # a row passes exactly when its own residual does: d - rank is 0 for
+    # the first rows are verify's hypothesis rows, verbatim; after them a row
+    # passes exactly when its own residual does: d - rank is 0 for
     # injectivity_conditioning, and at most tol for every other row
-    for c in report.checks:
+    hypotheses = _hypothesis_rows(algebra, max(tol, algebra.tol))
+    assert report.checks[: len(hypotheses)] == hypotheses
+    for c in report.checks[len(hypotheses) :]:
         if c.name == "injectivity_conditioning":
             assert c.max_residual == algebra.dim - report.transform_rank
             assert c.passed is (c.max_residual == 0.0), c
