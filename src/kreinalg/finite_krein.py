@@ -112,10 +112,16 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _PROBES = 4  # Gaussian probe columns of the product-closure check
+_MARGINS = frozenset({"basis_independence"})  # residuals that pass above tol, not within it
 
 
 class AlgebraValidationError(ValueError):
-    """Construction input does not describe a valid graded matrix algebra."""
+    """Construction input does not describe a valid graded matrix algebra.  A
+    construction stage's rejection sets ``stage``, the key of the failing
+    residual, and ``residuals``, those taken through it, in stage order."""
+
+    stage: str | None = None
+    residuals: dict | None = None
 
 
 class SpanError(ValueError):
@@ -412,24 +418,37 @@ class KreinAlgebra:
                 f"basis must have shape (d, n, n), got {B.shape}"
             )
         U = _finite("symmetry_unitary", symmetry_unitary)
-        n = B.shape[1]
+        d, n = B.shape[:2]
         if U.shape != (n, n):
             raise AlgebraValidationError(
                 f"symmetry_unitary must be {n} x {n}, got {U.shape}"
             )
+        e = None if odd_generator is None else _finite("odd_generator", odd_generator).reshape(-1)
+        if e is not None and e.shape != (d,):
+            raise AlgebraValidationError(f"odd_generator needs {d} coordinates, got {e.shape}")
 
-        self.basis = B
-        self.dim = int(B.shape[0])
-        self.ambient_dim = n
-        self.tol = tol
-        self.symmetry_unitary = U
+        self.basis, self.dim, self.ambient_dim, self.tol = B, d, n, tol
+        self.symmetry_unitary, self.odd_generator_coords = U, e
         self.validation_residuals: dict[str, float] = {}
+        # one rule for every residual: a margin passes above tol, the rest
+        # within it; NaN, and the grading's None, fail either way
+        for key, resid, message in self._stages():
+            self.validation_residuals[key] = resid
+            if resid is None or not (resid > tol if key in _MARGINS else resid <= tol):
+                exc = AlgebraValidationError(message)
+                exc.stage, exc.residuals = key, dict(self.validation_residuals)
+                raise exc
 
-        d = self.dim
+    def _stages(self):
+        """Construction's stages, in order: independence, the pivots, the
+        symmetry checks, the seed digest, the tensor, the dagger and alpha
+        images, the certificates, the unit and the grading.  Each sets its
+        attributes and yields (key, residual, message) for each residual it
+        takes; ``__init__`` resumes it only once that residual passes, so no
+        stage runs on what an earlier one rejected."""
+        B, U, d, n, tol = self.basis, self.symmetry_unitary, self.dim, self.ambient_dim, self.tol
         flat = _vec(B)  # (d, n^2), rows are vectorized basis matrices
-        self.validation_residuals["basis_independence"] = indep = _independence(flat, tol)
-        if not indep > tol:
-            raise AlgebraValidationError("basis is not linearly independent")
+        yield "basis_independence", _independence(flat, tol), "basis is not linearly independent"
         # interpolative decomposition: d entries (p_t, q_t), the rows partial
         # pivoting of flat^T picks, fix the coordinates of any span member
         # through the d x d block K = flat[:, piv] of the basis at those entries
@@ -438,14 +457,10 @@ class KreinAlgebra:
 
         # U^H U and U^2 against I, each sized ||U||^2 + ||I||: ||U^H U|| = ||U||^2 >= ||U^2||
         size = np.linalg.norm(U, 2) ** 2 + 1.0
-        r_unitary = _relative(np.linalg.norm(U.conj().T @ U - np.eye(n), 2), size)
-        self.validation_residuals["symmetry_unitarity"] = r_unitary
-        if not r_unitary <= tol:
-            raise AlgebraValidationError("symmetry_unitary not unitary")
-        r_invol = _relative(np.linalg.norm(U @ U - np.eye(n), 2), size)
-        self.validation_residuals["symmetry_involution"] = r_invol
-        if not r_invol <= tol:
-            raise AlgebraValidationError("symmetry_unitary is not an involution")
+        unitarity = _relative(np.linalg.norm(U.conj().T @ U - np.eye(n), 2), size)
+        yield "symmetry_unitarity", unitarity, "symmetry_unitary not unitary"
+        involution = _relative(np.linalg.norm(U @ U - np.eye(n), 2), size)
+        yield "symmetry_involution", involution, "symmetry_unitary is not an involution"
 
         # seeds the certificates: a function of the input alone
         digest = hashlib.blake2b(repr(B.shape).encode(), digest_size=8)
@@ -457,7 +472,7 @@ class KreinAlgebra:
         p, q = np.divmod(piv, n)
         self.dagger_coord = np.linalg.solve(self._block, np.conj(B[:, q, p]).T)
         self.alpha_coord = np.linalg.solve(self._block, np.einsum("jtb,bt->tj", U[p] @ B, U[:, q]))
-        for key, resid, message in zip(
+        yield from zip(
             ("product_closure", "adjoint_closure", "alpha_closure"),
             _certificates(self),
             (
@@ -465,39 +480,21 @@ class KreinAlgebra:
                 "basis span is not closed under adjoints",
                 "symmetry does not preserve the basis span",
             ),
-        ):
-            self.validation_residuals[key] = resid
-            if not resid <= tol:
-                raise AlgebraValidationError(message)
+        )
 
         self.unit_coords, r_unit = self._resolve_unit()
-        self.validation_residuals["unit"] = r_unit
-        if not r_unit <= tol:
-            raise AlgebraValidationError("algebra has no multiplicative unit in the span")
+        yield "unit", r_unit, "algebra has no multiplicative unit in the span"
 
-        # grading projections and orthonormal coordinate bases of the two parts.
-        # alpha^2 = 1 makes each projection idempotent, and an idempotent's
-        # nonzero singular values are >= 1 (in a suitable orthonormal basis
-        # it is [[I, X], [0, 0]], with singular values 1 and sqrt(1 + s^2)),
-        # so the 0.5 cut parts them from rounding-level zeros in any frame
-        proj_even = (np.eye(d) + self.alpha_coord) / 2.0
-        u_svd, s_svd, _ = np.linalg.svd(proj_even)
-        self.even_basis = u_svd[:, s_svd > 0.5]
-        proj_odd = (np.eye(d) - self.alpha_coord) / 2.0
-        u_svd, s_svd, _ = np.linalg.svd(proj_odd)
-        self.odd_basis = u_svd[:, s_svd > 0.5]
+        # grading projections (I +- A)/2 and orthonormal coordinate bases of
+        # the two parts.  alpha^2 = 1 makes each projection idempotent, and an
+        # idempotent's nonzero singular values are >= 1 (in a suitable
+        # orthonormal basis it is [[I, X], [0, 0]], with singular values 1 and
+        # sqrt(1 + s^2)), so the 0.5 cut parts them from rounding-level zeros
+        # in any frame
+        parts = [np.linalg.svd((np.eye(d) + sign * self.alpha_coord) / 2.0) for sign in (1, -1)]
+        self.even_basis, self.odd_basis = (u[:, s > 0.5] for u, s, _ in parts)
         if self.even_basis.shape[1] + self.odd_basis.shape[1] != d:
-            raise AlgebraValidationError("grading projections do not split the span")
-
-        if odd_generator is None:
-            self.odd_generator_coords = None
-        else:
-            e = _finite("odd_generator", odd_generator).reshape(-1)
-            if e.shape != (d,):
-                raise AlgebraValidationError(
-                    f"odd_generator needs {d} coordinates, got {e.shape}"
-                )
-            self.odd_generator_coords = e
+            yield "grading", None, "grading projections do not split the span"
 
     @property
     def star_coord(self) -> np.ndarray:
@@ -935,8 +932,8 @@ def _hypothesis_rows(algebra: KreinAlgebra, tol: float) -> list[CheckResult]:
 
 def _verify_rows(algebra: KreinAlgebra, tol: float) -> list[CheckResult]:
     """The rows of ``verify``, in order: ``construction``, the largest validation
-    residual but ``basis_independence``, then ``_implied_rows`` and ``_hypothesis_rows``."""
-    construction = max(v for k, v in algebra.validation_residuals.items() if k != "basis_independence")
+    residual but the ``_MARGINS``, then ``_implied_rows`` and ``_hypothesis_rows``."""
+    construction = max(v for k, v in algebra.validation_residuals.items() if k not in _MARGINS)
     rows = [CheckResult("construction", construction <= tol, construction), *_implied_rows(algebra, tol)]
     return rows + _hypothesis_rows(algebra, tol)
 

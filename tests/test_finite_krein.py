@@ -360,6 +360,112 @@ class TestConstruction:
         assert m2_algebra.odd_basis.shape[1] == 0
 
 
+# construction's residual keys, in stage order; the grading takes one only when it fails
+STAGE_KEYS = [
+    "basis_independence",
+    "symmetry_unitarity",
+    "symmetry_involution",
+    "product_closure",
+    "adjoint_closure",
+    "alpha_closure",
+    "unit",
+    "grading",
+]
+
+
+def matrix_units(*entries):
+    """The matrix units E_pq of M_2 at the given entries, stacked."""
+    basis = np.zeros((len(entries), 2, 2), dtype=complex)
+    for i, (p, q) in enumerate(entries):
+        basis[i, p, q] = 1.0
+    return basis
+
+
+def unit_off_by_2_tol(monkeypatch):
+    """The one-point function algebra, with the unit's residual reported as
+    2 tol: a finite-dimensional span closed under products and adjoints holds
+    its unit, so no input reaches this rejection."""
+    base, resolve = build_function_algebra(1), KreinAlgebra._resolve_unit
+    monkeypatch.setattr(KreinAlgebra, "_resolve_unit", lambda self: (resolve(self)[0], 2 * self.tol))
+    return dict(basis=base.basis, symmetry_unitary=base.symmetry_unitary)
+
+
+# stage -> (the arguments of an input it rejects, given monkeypatch; its error)
+STAGE_REJECTIONS = {
+    "basis_independence": (
+        lambda mp: dict(basis=np.stack([np.eye(2), 2.0 * np.eye(2)]), symmetry_unitary=np.eye(2)),
+        "basis is not linearly independent",
+    ),
+    "symmetry_unitarity": (
+        lambda mp: dict(basis=build_function_algebra(1).basis, symmetry_unitary=np.diag([2.0, -1.0])),
+        "symmetry_unitary not unitary",
+    ),
+    "symmetry_involution": (
+        lambda mp: dict(basis=np.eye(2)[None], symmetry_unitary=np.diag([1j, -1j])),
+        "symmetry_unitary is not an involution",
+    ),
+    "product_closure": (
+        lambda mp: dict(basis=matrix_units((0, 1), (1, 0)), symmetry_unitary=np.eye(2)),
+        "basis span is not closed under multiplication",
+    ),
+    "adjoint_closure": (
+        lambda mp: dict(basis=np.stack([np.eye(2), matrix_units((0, 1))[0]]), symmetry_unitary=np.eye(2)),
+        "basis span is not closed under adjoints",
+    ),
+    "alpha_closure": (
+        lambda mp: dict(
+            basis=np.stack([np.eye(2), np.diag([1.0, -1.0])]),
+            symmetry_unitary=np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+        ),
+        "symmetry does not preserve the basis span",
+    ),
+    "unit": (unit_off_by_2_tol, "algebra has no multiplicative unit in the span"),
+    # alpha = Ad U scales E_pq by u_p u_q: U^2 misses I by sin 65 deg = 0.906,
+    # within tol, and the 0.5 cut counts 3 even and 3 odd directions in a span of 4
+    "grading": (
+        lambda mp: dict(
+            basis=matrix_units((0, 0), (0, 1), (1, 0), (1, 1)),
+            symmetry_unitary=np.diag([1.0, np.exp(1j * np.radians(65.0))]),
+            tol=0.95,
+        ),
+        "grading projections do not split the span",
+    ),
+}
+
+
+def passes(key, resid, tol):
+    """Construction's rule: a margin passes above tol, any other residual within it."""
+    return resid is not None and (resid > tol if key == "basis_independence" else resid <= tol)
+
+
+class TestStages:
+    """Construction takes its residuals stage by stage under one rule, and a
+    rejection names its stage and keeps the residuals taken through it."""
+
+    @pytest.mark.parametrize("stage", STAGE_KEYS)
+    def test_rejection_carries_its_stage_and_residuals(self, monkeypatch, stage):
+        inputs, message = STAGE_REJECTIONS[stage]
+        kwargs = inputs(monkeypatch)
+        with pytest.raises(AlgebraValidationError) as info:
+            KreinAlgebra(**kwargs)
+        exc, tol = info.value, kwargs.get("tol", DEFAULT_TOL)
+        assert str(exc) == message
+        assert exc.stage == stage
+        assert list(exc.residuals) == STAGE_KEYS[: STAGE_KEYS.index(stage) + 1]
+        *taken, failed = exc.residuals.items()
+        assert all(passes(key, resid, tol) for key, resid in taken)
+        assert not passes(*failed, tol)
+
+    def test_a_valid_algebra_takes_every_residual_but_the_grading(self, conj3):
+        assert list(conj3.validation_residuals) == STAGE_KEYS[:-1]
+
+    def test_input_checks_name_no_stage(self):
+        base = build_function_algebra(1)
+        with pytest.raises(AlgebraValidationError, match="^odd_generator needs 2 coordinates") as info:
+            KreinAlgebra(base.basis, base.symmetry_unitary, odd_generator=[1.0])
+        assert info.value.stage is None and info.value.residuals is None
+
+
 def rotated_arrays(points, seed):
     """The basis and symmetry of the rotated function algebra, unconstructed."""
     basis, sym, _ = _function_algebra_arrays(points)

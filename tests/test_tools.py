@@ -69,3 +69,22 @@ def test_trajectory_records_each_command_at_each_size(tmp_path, monkeypatch):
     assert trajectory.main([]) == 2
     summary["correct"] = False  # an incorrect op fails the record
     assert trajectory.main(["7", "1"]) == 1
+
+
+def test_trajectory_defaults_to_n_64_96_and_128(tmp_path, monkeypatch):
+    """With no sizes given, each command runs at N = 64, 96 and 128 (stubbed)."""
+    trajectory = load_tool("trajectory")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(trajectory, "perfbench", lambda: {"correct": True})
+
+    def measure(argv):
+        if argv.startswith("gen "):  # the instance file each size removes
+            Path(shlex.split(argv)[-1]).touch()
+        return {"exit": 0, "wall_s": 0.0, "peak_rss_mb": 1}
+
+    monkeypatch.setattr(trajectory, "measure", measure)
+    assert trajectory.main(["7"]) == 0
+    runs = json.loads((tmp_path / "BENCH_7.json").read_text())["runs"]
+    assert [(r["command"], r["points"]) for r in runs] == [
+        (command, n) for n in (64, 96, 128) for command in ("gen", "verify", "spectrum")
+    ]

@@ -7,7 +7,7 @@ revision (``git describe --always --dirty``), the platform string, the
 Python and numpy versions, the CPU count (``nproc``), the BLAS thread
 variables as set, and the wall time and peak RSS of
 ``gen --points N --conjugate``, ``verify`` and ``spectrum`` on the rotated
-instance of each N (default 64 and 96).  Each command runs in its own
+instance of each N (default 64, 96 and 128).  Each command runs in its own
 process, through ``tools/peak_rss.py``, so each peak is that command's
 alone.  The instance files go to a temporary directory.  Before those
 commands, ``perfbench/run.py --workload all --seed 1 --seconds 10 --trace 0``
@@ -73,7 +73,7 @@ def main(args: list[str]) -> int:
     if not args or not args[0].isdigit():
         print(__doc__, file=sys.stderr)
         return 2
-    pr, sizes = int(args[0]), [int(n) for n in args[1:]] or [64, 96]
+    pr, sizes = int(args[0]), [int(n) for n in args[1:]] or [64, 96, 128]
     summary, runs = perfbench(), []
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
